@@ -9,7 +9,8 @@ Run from the repository root:
     python3 bench/run.py --workload analyze-ext --steady 5
 
 Each workload is a closed loop with one client in one process; it passes
-over its seeded input list until --seconds have passed.  End-to-end metrics:
+over whole blocks of its seeded input list for about --seconds.  End-to-end
+metrics:
 
     setup_s         import latticejost plus the cold first op, median of
                     SETUP_PROBES fresh interpreters
@@ -20,11 +21,12 @@ over its seeded input list until --seconds have passed.  End-to-end metrics:
     success_share   ops whose output matched the reference, over ops attempted
     peak_rss_mb     peak resident memory of the workload's process
 
-Times are scaled to a reference host speed (see hostspeed.py); the raw
-figures are printed beside them.  The last line of standard output is one
-JSON object with the keys correct, attempted, failed and metrics.  The
-library is imported from ``src/`` next to this directory and nowhere else;
-without it the benchmark exits with status 1 and prints no result.
+Times are scaled to a reference host speed (see hostspeed.py), all but the
+oracle's bisection; the raw figures are printed beside them.  The last line
+of standard output is one JSON object with the keys correct, attempted,
+failed and metrics.  The library is imported from ``src/`` next to this
+directory and nowhere else; without it the benchmark exits with status 1
+and prints no result.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ WORKLOAD_NAMES = ("analyze-std", "analyze-ext", "crosscheck")
 # within the core count of any machine.
 BLAS_THREADS = 1
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_PROBES = 3
+SETUP_PROBES = 5
+SETUP_TIMEOUT_S = 60  # a probe takes about a second
 CHILD_TIMEOUT_S = 600
 
 END_TO_END = {
@@ -88,6 +91,14 @@ def load_library() -> None:
         sys.exit(f"bench: latticejost imported from {latticejost.__file__}, not {src}")
 
 
+def keep_going(start: float, units: int, seconds: float) -> bool:
+    """Whether one more unit of work (a block of inputs, or a pass over the
+    traced ones) brings the run's length nearer to `seconds`.  Units end
+    whole, so a run stops at the unit boundary nearest its deadline."""
+    elapsed = time.perf_counter() - start
+    return elapsed + elapsed / units / 2 < seconds
+
+
 def percentile(values: list[float], q: float, failed: list[bool] | None = None) -> float:
     """Nearest-rank percentile: a latency some operation actually had.
 
@@ -113,11 +124,11 @@ def result_line(correct: bool, attempted: int, failed: int, metrics: dict, units
     })
 
 
-def run_child(args: list[str]) -> tuple[str, dict]:
+def run_child(args: list[str], timeout: float = CHILD_TIMEOUT_S) -> tuple[str, dict]:
     """Run this script in a fresh interpreter; return its stdout and last-line JSON."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), *args],
-        capture_output=True, text=True, timeout=CHILD_TIMEOUT_S, cwd=ROOT,
+        capture_output=True, text=True, timeout=timeout, cwd=ROOT,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{args} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
@@ -152,12 +163,13 @@ def setup_probe(name: str, seed: int) -> None:
 
 
 def _timed(op, V, cfg):
+    """(seconds, seconds of them in the oracle's bisection, result, error)"""
     t = time.perf_counter()
     try:
-        result, error = op(V, cfg), None
+        (result, bisection_s), error = op(V, cfg), None
     except Exception as exc:  # every failure is counted, none stops the loop
-        result, error = None, type(exc).__name__
-    return time.perf_counter() - t, result, error
+        result, bisection_s, error = None, 0.0, type(exc).__name__
+    return time.perf_counter() - t, bisection_s, result, error
 
 
 class Run:
@@ -215,34 +227,38 @@ def benchmark_bounds() -> dict:
 
 def measure(name: str, seed: int, seconds: float) -> None:
     """End-to-end metrics: whole blocks of the input list, in order and cycling,
-    until `seconds` have passed."""
+    for about `seconds`."""
     load_library()
     import hostspeed
 
     run = Run(name, seed)
     setup = statistics.median(
-        run_child(["--setup-probe", "--workload", name, "--seed", str(seed)])[1]["setup_s"]
+        run_child(["--setup-probe", "--workload", name, "--seed", str(seed)],
+                  SETUP_TIMEOUT_S)[1]["setup_s"]
         for _ in range(SETUP_PROBES)
     )
     op = run.wl.untraced_op(run.w)
     n = len(run.cases)
     run.warm_up()
     hostspeed.kernel()
-    latencies, results, kernel_times = [], [], []
+    latencies, scaled, results = [], [], []
     block = len(run.w.block)
-    deadline = time.perf_counter() + seconds
+    start = time.perf_counter()
     # whole blocks, so that every run has the same mix of support lengths
-    while len(results) % block or time.perf_counter() < deadline:
-        dt, result, error = _timed(op, run.potentials[len(results) % n], run.cfg)
-        kernel_times += hostspeed.samples_after(dt)
+    while (not results or len(results) % block
+           or keep_going(start, len(results) // block, seconds)):
+        dt, bisection_s, result, error = _timed(op, run.potentials[len(results) % n], run.cfg)
+        # the host's speed drifts within a run too: each op is scaled by the
+        # kernel samples taken right after it
+        scaled.append(hostspeed.scaled(dt, bisection_s))
         latencies.append(dt)
         results.append((result, error))
     # outside the timed region: references and checks
     kinds = [run.check(k % n, run.outcome(*res)) for k, res in enumerate(results)]
     attempted = len(kinds)
     ok = kinds.count(run.wl.OK)
-    factor = hostspeed.scale(kernel_times)
     busy = sum(latencies)
+    factor = sum(scaled) / busy
     # One op's time says as much about the host's speed at that moment, and
     # about the solver iterations its potential happens to need, as about
     # its support length.  Each op counts at the mean time of the successful
@@ -250,15 +266,14 @@ def measure(name: str, seed: int, seconds: float) -> None:
     # percentile inside one such group.
     failed = [kind != run.wl.OK for kind in kinds]
     by_group = defaultdict(list)
-    for k, dt in enumerate(latencies):
+    for k, dt in enumerate(scaled):
         if not failed[k]:
             by_group[run.cases[k % n].label].append(dt)
-    mean_of = {label: statistics.fmean(times) * factor for label, times in by_group.items()}
-    op_latency = [mean_of.get(run.cases[k % n].label, latencies[k] * factor)
-                  for k in range(attempted)]
+    mean_of = {label: statistics.fmean(times) for label, times in by_group.items()}
+    op_latency = [mean_of.get(run.cases[k % n].label, scaled[k]) for k in range(attempted)]
     metrics = {
         "setup_s": setup,
-        "ops_per_s": ok / (busy * factor),
+        "ops_per_s": ok / sum(scaled),
         "latency_p50_ms": percentile(op_latency, 0.5, failed) * 1e3,
         "latency_p90_ms": percentile(op_latency, 0.9, failed) * 1e3,
         "success_share": ok / attempted,
@@ -267,7 +282,7 @@ def measure(name: str, seed: int, seconds: float) -> None:
     print(f"workload {name}  seed {seed}  closed loop, 1 client, blas_threads={BLAS_THREADS}")
     print(f"  {attempted} ops, {busy:.2f} s busy: {attempted / n:.2f} passes over {n} inputs; "
           f"failed {attempted - ok} (fail_share {(attempted - ok) / attempted:.4f})")
-    print(f"  times scaled by {factor:.4f} to the reference host speed (raw: "
+    print(f"  times scaled by {factor:.4f} on average to the reference host speed (raw: "
           f"{ok / busy:.4g} ops/s, p50 {percentile(latencies, 0.5, failed) * 1e3:.4g} ms, "
           f"p90 {percentile(latencies, 0.9, failed) * 1e3:.4g} ms); setup_s is the median "
           f"of {SETUP_PROBES} fresh processes")
@@ -278,10 +293,10 @@ def measure(name: str, seed: int, seconds: float) -> None:
 
 
 def measure_traced(name: str, seed: int, seconds: float) -> None:
-    """Per-layer metrics over the first half of the input list (at least one
-    block).  Each input runs untraced and then traced, back to back, so that
-    both see the same host speed; passes repeat until `seconds` have passed.
-    Counts are per pass and repeat exactly."""
+    """Per-layer metrics over the workload's first traced_blocks blocks.  Each
+    input runs untraced and then traced, back to back, so that both see the
+    same host speed; whole passes repeat for about `seconds`.  Counts are per
+    pass and repeat exactly."""
     from tracing import Tracer
 
     load_library()
@@ -294,11 +309,11 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
     hostspeed.kernel()
     untraced_s, untraced_wrong, kinds, kernel_times = 0.0, 0, [], []
     expected = found = passes = 0
-    traced_inputs = run.potentials[: len(run.w.block) * max(1, run.w.blocks // 2)]
-    deadline = time.perf_counter() + seconds
-    while not passes or time.perf_counter() < deadline:
+    traced_inputs = run.potentials[: len(run.w.block) * run.w.traced_blocks]
+    start = time.perf_counter()
+    while not passes or keep_going(start, passes, seconds):
         for i, V in enumerate(traced_inputs):
-            dt, result, error = _timed(op, V, run.cfg)
+            dt, _, result, error = _timed(op, V, run.cfg)
             kernel_times += hostspeed.samples_after(dt)
             untraced_s += dt
             kind = run.wl.check(run.outcome(result, error), run.reference(i))
@@ -318,7 +333,8 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
 
     def mean_ms(span: str) -> float:
         times = self_times.get(span, [])
-        return statistics.fmean(times) * 1e3 * factor if times else 0.0
+        scale = 1.0 if span in run.wl.UNSCALED_SPANS else factor
+        return statistics.fmean(times) * 1e3 * scale if times else 0.0
 
     def note_max(note: str) -> float:
         return max(tracer.notes.get(note, []), default=0)
@@ -337,7 +353,8 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
     })
     print(f"workload {name}  seed {seed}  traced: {passes} passes over {len(traced_inputs)} inputs")
     print("  wait: none; one thread, closed loop, no queue: every span is busy time")
-    print(f"  raw span times below; the .ms metrics are scaled by {factor:.4f} "
+    print(f"  raw span times below; the .ms metrics other than "
+          f"{', '.join(run.wl.UNSCALED_SPANS)} are scaled by {factor:.4f} "
           f"to the reference host speed")
     print(f"  {'span':36s} {'calls':>6s} {'self ms/call':>13s} {'self s':>9s} {'share':>7s}")
     total = sum(sum(times) for times in self_times.values())
@@ -378,8 +395,10 @@ def run_steady(names: list[str], seed: int, seconds: float, runs: int) -> None:
         values: dict[str, list[float]] = {k: [] for k in END_TO_END}
         correct = True
         for k in range(runs):
-            _, res = run_child(["--workload", name, "--seed", str(seed + k),
-                                "--seconds", str(seconds), "--trace", "0"])
+            out, res = run_child(["--workload", name, "--seed", str(seed + k),
+                                  "--seconds", str(seconds), "--trace", "0"])
+            # the run's host-speed factor and raw figures
+            print(f"  seed {seed + k}: {out.splitlines()[2].strip()}", flush=True)
             correct &= res["correct"]
             for metric in END_TO_END:
                 values[metric].append(res["metrics"][metric]["value"])

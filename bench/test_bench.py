@@ -11,6 +11,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ import run
 
 run.load_library()
 
+import hostspeed  # noqa: E402
 import workloads as wl  # noqa: E402  (needs the library on sys.path)
 from reference import (  # noqa: E402
     alternating_values,
@@ -75,6 +77,7 @@ def test_inputs_are_seeded():
 
 def test_check_kinds():
     ref = wl.Reference(n=1, energies=(4.5,))
+    ref2 = wl.Reference(n=2, energies=(-0.9, 4.5))
     good = wl.Outcome(n=1, states=((-0.5, 4.5 + 1e-9),))
     assert wl.check(good, ref) == wl.OK
     assert wl.check(wl.Outcome(error="UnitCircleViolationError"), ref) == "UnitCircleViolationError"
@@ -86,6 +89,10 @@ def test_check_kinds():
     # crosscheck: the oracle must agree with the scan too
     far = ((4.5 + 1e-9, 4.5 + 1e-3, 1e-3),)
     assert wl.check(wl.Outcome(n=1, states=good.states, match=far), ref) == wl.ENERGY_OFF
+    # an oracle energy the scan missed is flagged by the op's own match table
+    missed = ((4.5 + 1e-9, 4.5, 1e-9), (float("nan"), -0.9, float("nan")))
+    assert wl.check(wl.Outcome(n=1, states=good.states, match=missed), ref2) == wl.UNMATCHED
+    assert wl.check(wl.Outcome(n=1, states=good.states), ref2) == wl.N_OFF
 
 
 def test_percentile_is_nearest_rank():
@@ -96,6 +103,21 @@ def test_percentile_is_nearest_rank():
     # a failed op ranks above every successful one, whatever its own time
     assert run.percentile([1.0, 2.0, 3.0], 0.5, [True, False, False]) == 3.0
     assert run.percentile([1.0, 2.0, 3.0], 0.9, [True, False, False]) == 1.0
+
+
+def test_keep_going_stops_at_the_nearest_unit_boundary():
+    started_20_s_ago = time.perf_counter() - 20.0
+    # two units of 10 s: a third would end at 30 s, nearer 26 s than 20 s is
+    assert run.keep_going(started_20_s_ago, 2, 26.0)
+    assert not run.keep_going(started_20_s_ago, 2, 24.0)
+    # one unit of 20 s: a second would end at 40 s
+    assert run.keep_going(started_20_s_ago, 1, 31.0)
+    assert not run.keep_going(started_20_s_ago, 1, 29.0)
+
+
+def test_bisection_time_is_not_scaled():
+    assert hostspeed.scaled(0.25, 0.25) == 0.25
+    assert hostspeed.scaled(0.25, 0.0) != 0.25
 
 
 def test_quartile_spread_matches_statistics():

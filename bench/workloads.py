@@ -9,7 +9,9 @@ mix of support lengths.  Outputs are checked against the reference in
 
 from __future__ import annotations
 
+import math
 import random
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,14 +50,16 @@ class Workload:
     # is the alternating amplitude-2 family, identical in every block
     block: tuple[tuple[str, int], ...]
     blocks: int  # distinct blocks in the input list
+    traced_blocks: int  # leading blocks the traced run passes over
 
     def config(self) -> NumericConfig:
         return NumericConfig.extended() if self.extended else NumericConfig()
 
 
-# The block mixes put the median inside a group of inputs of like cost
-# (crosscheck: the oracle-bound small b) and the 90th percentile inside the
-# largest-b group, never on a group boundary.
+# The block mixes put the median inside a group of inputs of like cost and
+# the 90th percentile inside the largest-b group, never on a group boundary,
+# however many whole blocks a run makes.  crosscheck's median falls among
+# its six b=8 inputs, where the oracle's cost, the same at any b, dominates.
 WORKLOADS: dict[str, Workload] = {
     w.name: w
     for w in (
@@ -64,7 +68,8 @@ WORKLOADS: dict[str, Workload] = {
             op="analyze",
             extended=False,
             block=tuple(("rand", b) for b in (1, 4, 8, 12, 20, 28, 40)),
-            blocks=20,
+            blocks=40,
+            traced_blocks=10,
         ),
         Workload(
             name="analyze-ext",
@@ -72,14 +77,16 @@ WORKLOADS: dict[str, Workload] = {
             extended=True,
             block=tuple(("rand", b) for b in (4, 8, 12, 12, 20)),
             blocks=20,
+            traced_blocks=3,
         ),
         Workload(
             name="crosscheck",
             op="crosscheck",
             extended=True,
-            block=tuple(("rand", b) for b in (4, 4, 4, 4, 8, 8, 8, 8, 12, 12, 12, 20, 20, 40))
+            block=tuple(("rand", b) for b in (4, 4, 4, 4, 8, 8, 8, 8, 8, 8, 12, 12, 20, 40))
             + tuple(("alt", b) for b in (40, 80, 110, 110)),
-            blocks=1,
+            blocks=3,
+            traced_blocks=1,
         ),
     )
 }
@@ -136,20 +143,27 @@ class Outcome:
 
 OK = "ok"
 FALSE_VERDICT = "false verdict"
+# crosscheck's match table has an energy with no partner: the op's own
+# cross-check reports that the scan and the oracle disagree
+UNMATCHED = "scan and oracle disagree"
 ENERGY_OFF = "energy off"
 # The one failure the library does not flag: its count disagrees with the
-# reference while every verdict holds.  A run with one is not correct.
+# reference while every verdict holds and scan and oracle agree.  A run with
+# one is not correct.
 N_OFF = "N off"
 
 
 def check(outcome: Outcome, ref: Reference) -> str:
     """OK, or the kind of failure: an exception's type name, a false
-    verdict, a wrong bound-state count, or an energy ENERGY_TOL or more from
-    the reference (or from the oracle's match) for |alpha| < ALPHA_CHECKED."""
+    verdict, an unmatched row in the scan-oracle match, a wrong bound-state
+    count, or an energy ENERGY_TOL or more from the reference (or from the
+    oracle's match) for |alpha| < ALPHA_CHECKED."""
     if outcome.error is not None:
         return outcome.error
     if not outcome.verdicts_hold:
         return FALSE_VERDICT
+    if any(math.isnan(row[2]) for row in outcome.match):
+        return UNMATCHED
     if outcome.n != ref.n:
         return N_OFF
     deltas = {row[0]: row[2] for row in outcome.match}
@@ -169,7 +183,11 @@ def coeff_bits(p) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the timed operations; each returns what the check needs
+# the timed operations; each returns what the check needs, and the seconds it
+# spent in the oracle's LAPACK bisection, which is reported unscaled (see
+# hostspeed.py)
+
+UNSCALED_SPANS = ("oracle.oracle_bound_states",)
 
 
 def _analyze_outcome(report) -> Outcome:
@@ -185,14 +203,16 @@ def _scan_states(roots) -> tuple[tuple[float, float], ...]:
 
 
 def run_analyze(V: Potential, cfg: NumericConfig):
-    return analyze(V, cfg)
+    return analyze(V, cfg), 0.0
 
 
 def run_crosscheck(V: Potential, cfg: NumericConfig):
+    t = time.perf_counter()
     oracle = oracle_bound_states(V, M=ORACLE_SIZE)
+    oracle_s = time.perf_counter() - t
     states = _scan_states(bound_state_scan(V, cfg))
     rows = match_energies([lam for _, lam in states], oracle)
-    return states, rows
+    return (states, rows), oracle_s
 
 
 def outcome_of(w: Workload, result) -> Outcome:
@@ -247,8 +267,10 @@ def traced_crosscheck(tr: Tracer, V: Potential, cfg: NumericConfig) -> Outcome:
         with tr.span("oracle.match_energies"):
             rows = match_energies([lam for _, lam in states], oracle)
     checked = {lam for alpha, lam in states if abs(alpha) < ALPHA_CHECKED}
+    # a root with no oracle partner has no delta; check() fails it as UNMATCHED
     tr.note("oracle.match_energies.max_delta",
-            max((row[2] for row in rows if row[0] in checked), default=0.0))
+            max((row[2] for row in rows if row[0] in checked and not math.isnan(row[2])),
+                default=0.0))
     return Outcome(n=len(states), states=states, match=tuple(rows))
 
 
