@@ -83,3 +83,10 @@ def reference_energies(
         )
         out.extend(float(x) for x in eigs)
     return sorted(out)
+
+
+def resolves_every_state(values: Sequence[float]) -> bool:
+    """Whether every bound state has an out-of-band eigenvalue in the
+    truncation: none lies within the band margin, or too close to the band
+    for ORACLE_SIZE sites to hold it."""
+    return reference_count(values) == len(reference_energies(values))

@@ -75,6 +75,7 @@ PER_LAYER = {
     "laws.evaluate_laws.false_verdicts": "count",
     "oracle.oracle_bound_states.ms": "ms",
     "oracle.match_energies.max_delta": "1",
+    "probe.failed_share": "share",
     "trace.overhead_pct": "%",
 }
 
@@ -184,6 +185,7 @@ class Run:
         self.cfg = self.w.config()
         self.cases = [case for block in workloads.make_inputs(self.w, seed) for case in block]
         self.potentials = [Potential(case.values) for case in self.cases]
+        self.probe = workloads.make_probe(self.w, seed)
         self._refs: dict[int, object] = {}
         self.kinds: Counter = Counter()  # (case label, check result) -> ops
 
@@ -201,8 +203,11 @@ class Run:
 
     def check(self, i: int, outcome) -> str:
         """Check and tally one op's output against the reference for its input."""
-        kind = self.wl.check(outcome, self.reference(i))
-        self.kinds[self.cases[i].label, kind] += 1
+        return self.tally(self.cases[i], outcome, self.reference(i))
+
+    def tally(self, case, outcome, ref) -> str:
+        kind = self.wl.check(outcome, ref)
+        self.kinds[case.label, kind] += 1
         return kind
 
     def print_failures(self) -> None:
@@ -292,11 +297,20 @@ def measure(name: str, seed: int, seconds: float) -> None:
     print(result_line(correct, attempted, attempted - ok, metrics, END_TO_END))
 
 
+def traced_call(traced, tracer, V, cfg, wl):
+    try:
+        return traced(tracer, V, cfg)
+    except Exception as exc:  # counted as a failure, as untraced
+        return wl.Outcome(error=type(exc).__name__)
+
+
 def measure_traced(name: str, seed: int, seconds: float) -> None:
     """Per-layer metrics over the workload's first traced_blocks blocks.  Each
     input runs untraced and then traced, back to back, so that both see the
     same host speed; whole passes repeat for about `seconds`.  Counts are per
-    pass and repeat exactly."""
+    pass and repeat exactly.  Then one traced pass over the probe, with its
+    own tracer, gives the failure counts: classify_zeros errors, false
+    verdicts, the scan's found share and the probe's failed share."""
     from tracing import Tracer
 
     load_library()
@@ -308,7 +322,7 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
     run.warm_up()
     hostspeed.kernel()
     untraced_s, untraced_wrong, kinds, kernel_times = 0.0, 0, [], []
-    expected = found = passes = 0
+    passes = 0
     traced_inputs = run.potentials[: len(run.w.block) * run.w.traced_blocks]
     start = time.perf_counter()
     while not passes or keep_going(start, passes, seconds):
@@ -318,15 +332,23 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
             untraced_s += dt
             kind = run.wl.check(run.outcome(result, error), run.reference(i))
             untraced_wrong += kind == run.wl.N_OFF
-            try:
-                outcome = traced(tracer, V, run.cfg)
-            except Exception as exc:  # counted as a failure, as untraced
-                outcome = run.wl.Outcome(error=type(exc).__name__)
-            kinds.append(run.check(i, outcome))
-            expected += run.reference(i).n
-            found += outcome.n
+            kinds.append(run.check(i, traced_call(traced, tracer, V, run.cfg, run.wl)))
         passes += 1
-    correct = untraced_wrong == 0 and run.wl.N_OFF not in kinds
+
+    from latticejost import Potential
+
+    probe = Tracer()
+    probe_kinds = []
+    expected = found = 0  # the probe's bound states: by the reference, by the op
+    for case in run.probe:
+        ref = run.wl.reference_for(case)
+        outcome = traced_call(traced, probe, Potential(case.values), run.cfg, run.wl)
+        probe_kinds.append(run.tally(case, outcome, ref))
+        expected += ref.n
+        found += outcome.n
+    probe_failed = len(probe_kinds) - probe_kinds.count(run.wl.OK)
+    correct = (untraced_wrong == 0 and run.wl.N_OFF not in kinds
+               and run.wl.N_OFF not in probe_kinds)
 
     self_times = tracer.self_times()
     factor = hostspeed.scale(kernel_times)
@@ -343,12 +365,13 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
     metrics = {m: mean_ms(m[: -len(".ms")]) for m in PER_LAYER if m.endswith(".ms")}
     metrics.update({
         "jost.jost_coefficients.coeff_bits": note_max("jost.jost_coefficients.coeff_bits"),
-        "spectrum.classify_zeros.errors": tracer.errors("spectrum.classify_zeros") / passes,
+        "spectrum.classify_zeros.errors": probe.errors("spectrum.classify_zeros"),
         "spectrum.bound_state_scan.found_share":
             found / expected if run.w.op == "crosscheck" and expected else 0.0,
         "laws.evaluate_laws.false_verdicts":
-            sum(tracer.notes.get("laws.evaluate_laws.false_verdicts", [])) / passes,
+            sum(probe.notes.get("laws.evaluate_laws.false_verdicts", [])),
         "oracle.match_energies.max_delta": note_max("oracle.match_energies.max_delta"),
+        "probe.failed_share": probe_failed / len(probe_kinds) if probe_kinds else 0.0,
         "trace.overhead_pct": 100.0 * (op_s - untraced_s) / untraced_s,
     })
     print(f"workload {name}  seed {seed}  traced: {passes} passes over {len(traced_inputs)} inputs")
@@ -362,6 +385,8 @@ def measure_traced(name: str, seed: int, seconds: float) -> None:
         print(f"  {span:36s} {len(times):6d} {statistics.fmean(times) * 1e3:13.3f} "
               f"{sum(times):9.3f} {sum(times) / total:7.1%}")
     print(f"  op spans {op_s:.3f} s against {untraced_s:.3f} s for the same ops untraced")
+    print(f"  probe: {len(probe_kinds)} inputs on which the library fails today, traced once "
+          f"and left out of attempted and failed; {probe_failed} failed")
     run.print_failures()
     print_metrics(metrics, PER_LAYER, {})
     failed = len(kinds) - kinds.count(run.wl.OK)

@@ -26,6 +26,7 @@ from reference import (  # noqa: E402
     count_below_band,
     reference_count,
     reference_energies,
+    resolves_every_state,
 )
 from tracing import Span, Tracer  # noqa: E402
 
@@ -73,6 +74,27 @@ def test_inputs_are_seeded():
             assert all(abs(v) <= wl.RANDOM_RANGE for v in case.values)
     alt = [case for case in a[0] if case.label.startswith("alt")]
     assert [case.values for case in alt] == [alternating_values(b) for b in (40, 80, 110, 110)]
+
+
+def test_crosscheck_inputs_have_every_state_clear_of_the_band():
+    w = wl.WORKLOADS["crosscheck"]
+    for block in wl.make_inputs(w, 202):
+        for case in block:
+            assert resolves_every_state(case.values), case
+    # the probe keeps an input with a state the truncation cannot see
+    assert not resolves_every_state(wl.EDGE_STATE.values)
+    assert resolves_every_state(wl.CLOSE_PAIR.values)
+
+
+def test_probe_is_seeded_and_holds_the_known_failures():
+    w = wl.WORKLOADS["crosscheck"]
+    a, b = wl.make_probe(w, 7), wl.make_probe(w, 8)
+    assert a == wl.make_probe(w, 7)
+    assert a != b
+    assert [len(case.values) for case in a] == [*w.probe_b, 8, 40]
+    assert a[-2:] == [wl.EDGE_STATE, wl.CLOSE_PAIR]
+    assert [len(case.values) for case in wl.make_probe(wl.WORKLOADS["analyze-std"], 7)] == [40] * 20
+    assert wl.make_probe(wl.WORKLOADS["analyze-ext"], 7) == []
 
 
 def test_check_kinds():
