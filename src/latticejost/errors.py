@@ -39,3 +39,7 @@ class NoConvergenceError(LatticeJostError):
 
 class SingularJacobianError(LatticeJostError):
     """Newton step hit a (numerically) singular Jacobian."""
+
+
+class FloatOverflowError(LatticeJostError):
+    """A quantity overflowed or underflowed double precision."""

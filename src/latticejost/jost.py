@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Potential
-from .errors import ZeroArgumentError
+from .errors import FloatOverflowError, ZeroArgumentError
 
 __all__ = [
     "JostPolynomial",
@@ -104,7 +104,13 @@ def jost_coefficients(V: Potential) -> JostPolynomial:
     polynomial 1.
     """
     exact = tuple(_coefficient_recursion([_exact(v) for v in V.values]))
-    coeffs = tuple(float(c) for c in exact)
+    try:
+        coeffs = tuple(float(c) for c in exact)
+    except OverflowError as exc:
+        bits = max(int(abs(c)).bit_length() for c in exact)
+        raise FloatOverflowError(
+            f"Jost coefficients reach 2^{bits}, beyond double precision"
+        ) from exc
     return JostPolynomial(coeffs=coeffs, b=V.b, exact=exact)
 
 
@@ -156,13 +162,29 @@ def jost_eval_recursive(values: Sequence, z):
     b = len(values)
     if b == 0:
         return z / z  # one, in the arithmetic of z
-    zi = 1 / z
+    s = z + 1 / z
     f_next = z ** (b + 1)
     f_cur = z**b
     for n in range(b, 0, -1):
-        f_prev = -f_next + (z + zi + values[n - 1]) * f_cur
-        f_next, f_cur = f_cur, f_prev
+        f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
     return f_cur
+
+
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n for an integer n >= 1 by repeated squaring.
+
+    numpy raises a float array to an integer power through the general pow
+    of every element, which costs far more than these few multiplications
+    on a scan grid of thousands of points.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 def jost_eval_recursive_grid(values: Sequence[float], zs: np.ndarray) -> np.ndarray:
@@ -171,12 +193,11 @@ def jost_eval_recursive_grid(values: Sequence[float], zs: np.ndarray) -> np.ndar
     zs = np.asarray(zs, dtype=float)
     if b == 0:
         return np.ones_like(zs)
-    zi = 1.0 / zs
-    f_next = zs ** (b + 1)
-    f_cur = zs**b
+    s = zs + 1.0 / zs
+    f_cur = _power(zs, b)
+    f_next = f_cur * zs
     for n in range(b, 0, -1):
-        f_prev = -f_next + (zs + zi + values[n - 1]) * f_cur
-        f_next, f_cur = f_cur, f_prev
+        f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
     return f_cur
 
 
@@ -187,14 +208,16 @@ def jost_eval_recursive_pair(values: Sequence, z):
     if b == 0:
         return one, 0 * z
     zi = 1 / z
+    s = z + zi
+    ds = one - zi * zi
     f_next = z ** (b + 1)
     d_next = (b + 1) * z**b
     f_cur = z**b
     d_cur = b * z ** (b - 1)
     for n in range(b, 0, -1):
-        w = z + zi + values[n - 1]
+        w = s + values[n - 1]
         f_prev = -f_next + w * f_cur
-        d_prev = -d_next + w * d_cur + (one - zi * zi) * f_cur
+        d_prev = -d_next + w * d_cur + ds * f_cur
         f_next, f_cur = f_cur, f_prev
         d_next, d_cur = d_cur, d_prev
     return f_cur, d_cur

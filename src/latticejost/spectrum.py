@@ -17,6 +17,7 @@ from .core import NumericConfig, Potential
 from .errors import (
     CountMismatchError,
     DegenerateDegreeError,
+    FloatOverflowError,
     NotABoundStateError,
     UnitCircleViolationError,
 )
@@ -24,6 +25,7 @@ from .jost import (
     JostPolynomial,
     jost_eval,
     jost_eval_derivative,
+    jost_eval_recursive,
     jost_eval_recursive_grid,
     jost_eval_recursive_pair,
 )
@@ -462,10 +464,16 @@ def norming_constants(
                 skipped = True
                 continue
             den *= alpha - a
-        c2_product = (num / den).real / alpha ** (2 * ledger.b)
-        c2_residue = (
-            jost_eval(p, 1.0 / alpha) / (alpha * jost_eval_derivative(p, alpha))
-        ).real
+        try:
+            c2_product = (num / den).real / alpha ** (2 * ledger.b)
+            c2_residue = (
+                jost_eval(p, 1.0 / alpha) / (alpha * jost_eval_derivative(p, alpha))
+            ).real
+        except ZeroDivisionError as exc:
+            raise FloatOverflowError(
+                f"norming constant of bound state k={k} at alpha={alpha!r} "
+                f"leaves double precision"
+            ) from exc
         lam = 2.0 - alpha - 1.0 / alpha
         out.append(BoundState(k=k, alpha=alpha, lam=lam, c2_product=c2_product,
                               c2_residue=c2_residue))
@@ -551,6 +559,85 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
 
 
 _GEO_EDGE = np.concatenate([1.0 - np.logspace(-12, -0.3, 240), [1.0 - 1e-13]])
+_XTOL = 1e-15
+_RTOL = 4 * np.finfo(float).eps
+_REFINE_MAXIT = 256  # bisection at least every fourth pass halves 2 to 1e-15 in 204
+_MP_DPS = 40
+_MP_STOP = 10.0**-38  # simplified Newton stops once |dz| <= _MP_STOP |z|
+_MP_SIMPLIFIED_STEPS = 4
+_MP_NEWTON_STEPS = 5
+
+
+def _refine_brackets(values, a, c, fa, fc) -> np.ndarray:
+    """Roots of f0 in the sign brackets [a, c], all refined at once.
+
+    Safeguarded Illinois regula falsi: every pass evaluates f0 by the
+    vectorized recursion at one new point per bracket and keeps the sign
+    change.  Illinois halves the stored value of an end retained twice in a
+    row.  The new point keeps half a tolerance from both ends, so an end
+    that has converged pulls the other one in (as in Brent's method); a
+    bracket that has not halved in three passes bisects.  A bracket is done,
+    and no longer changes, once its width is below _XTOL + _RTOL |x|, the
+    tolerance of scipy's brentq with xtol = _XTOL; its midpoint is returned.
+    """
+    kept = np.zeros(len(a), dtype=int)  # end retained last pass: -1 a, 1 c
+    ref_width = c - a  # width when the bracket last halved
+    stalled = np.zeros(len(a), dtype=int)  # passes since then
+    for _ in range(_REFINE_MAXIT):
+        width = c - a
+        tol = _XTOL + 0.5 * _RTOL * np.abs(a + c)
+        live = width >= tol
+        if not live.any():
+            break
+        x = c - fc * width / (fc - fa)
+        x = np.where((x >= a) & (x <= c) & (stalled < 3), x, 0.5 * (a + c))
+        x = np.clip(x, a + 0.5 * tol, c - 0.5 * tol)
+        fx = jost_eval_recursive_grid(values, x)
+        move_a = live & (np.sign(fx) == np.sign(fa))
+        move_c = live & ~move_a
+        # Illinois: an end kept for a second pass has its value halved
+        fa = np.where(move_a, fx, np.where(move_c & (kept == -1), 0.5 * fa, fa))
+        fc = np.where(move_c, fx, np.where(move_a & (kept == 1), 0.5 * fc, fc))
+        a = np.where(move_a, x, a)
+        c = np.where(move_c, x, c)
+        kept = np.where(move_a, 1, -1)
+        width = c - a
+        halved = width <= 0.5 * ref_width
+        ref_width = np.where(halved, width, ref_width)
+        stalled = np.where(halved, 0, stalled + 1)
+    return 0.5 * (a + c)
+
+
+def _polish_mp(values, roots, slopes) -> list:
+    """Multiprecision polish of float roots of f0, at _MP_DPS digits.
+
+    Simplified Newton: z -= f0(z) / f0'(r), with f0 evaluated in mp and the
+    slope the float derivative at the float root r, until
+    |dz| <= _MP_STOP |z|.  Each step needs f0 alone, and from a float root
+    each gains about as many digits as the slope carries.  A root not
+    converged within _MP_SIMPLIFIED_STEPS steps (or with a zero slope) goes
+    on with _MP_NEWTON_STEPS full Newton steps on (f0, f0') in mp.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(_MP_DPS):
+        mpv = [mpf(v) for v in values]
+        refined = []
+        for r0, slope in zip(roots, slopes):
+            z, d0 = mpf(r0), mpf(slope)
+            for _ in range(_MP_SIMPLIFIED_STEPS if d0 else 0):
+                dz = jost_eval_recursive(mpv, z) / d0
+                z -= dz
+                if abs(dz) <= _MP_STOP * abs(z):
+                    break
+            else:
+                for _ in range(_MP_NEWTON_STEPS):
+                    f, df = jost_eval_recursive_pair(mpv, z)
+                    if df == 0:
+                        break
+                    z = z - f / df
+            refined.append(z)
+        return refined
 
 
 def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
@@ -562,17 +649,18 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     crossing; because the bound-state count can never exceed b, finding b
     crossings certifies N = b.
 
-    Standard mode refines each bracket with Brent to float accuracy;
-    extended mode re-polishes each root with multiprecision Newton steps.
-    Returns the roots in ascending order (floats, or mpf in extended mode).
+    The brackets of the grid pass are refined together to float accuracy
+    (brentq's tolerance with xtol = 1e-15) by a safeguarded, vectorized
+    Illinois regula falsi.  Extended mode then polishes each root at 40
+    digits by simplified Newton steps (mp f0 over the float slope, until
+    |dz| <= 1e-38 |z|), going on with full mp Newton steps for a root that
+    has not converged within the step cap.  Returns the roots in ascending
+    order (floats, or mpf in extended mode).
     """
-    from scipy.optimize import brentq
-
     b = V.b
     if b == 0:
         return []
     values = list(V.values)
-    brackets: list[tuple[float, float]] = []
     for density in (64, 256, 1024, 4096):
         uni = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, density * b + 64)
         xs = np.unique(np.concatenate([uni, _GEO_EDGE, -_GEO_EDGE]))
@@ -580,30 +668,12 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
         vals = jost_eval_recursive_grid(values, xs)
         sgn = np.sign(vals)
         idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        brackets = [(float(xs[i]), float(xs[i + 1])) for i in idx]
-        if len(brackets) >= b:
+        if len(idx) >= b:
             break
 
-    roots = [
-        brentq(lambda x: jost_eval_recursive_grid(values, np.array([x]))[0], a, c,
-               xtol=1e-15)
-        for a, c in brackets
-    ]
-    roots.sort()
-
+    # disjoint ascending brackets, each root strictly inside its own
+    roots = _refine_brackets(values, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
     if cfg.is_extended:
-        from mpmath import mp, mpf
-
-        with mp.workdps(40):
-            mpv = [mpf(v) for v in values]
-            refined = []
-            for r0 in roots:
-                z = mpf(r0)
-                for _ in range(5):
-                    f, df = jost_eval_recursive_pair(mpv, z)
-                    if df == 0:
-                        break
-                    z = z - f / df
-                refined.append(z)
-            return refined
-    return roots
+        _, slopes = jost_eval_recursive_pair(values, roots)
+        return _polish_mp(values, roots.tolist(), slopes.tolist())
+    return roots.tolist()

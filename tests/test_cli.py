@@ -52,6 +52,14 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["precision_mode"] == "extended"
 
+    @pytest.mark.parametrize("potential", ["[1e200]", "[1e200, 1e200]"])
+    def test_float_overflow_is_typed(self, capsys, potential):
+        code, out, err = run(capsys, "analyze", potential)
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err.startswith("numerical diagnostic:")
+        assert "double precision" in err
+
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")
         _, out, _ = run(capsys, "analyze", "[2]")

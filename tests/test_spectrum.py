@@ -196,3 +196,40 @@ class TestBoundStateScan:
         V = validate_potential(EX42_POTENTIAL)
         roots = bound_state_scan(V, NumericConfig.extended())
         assert [float(r) for r in roots] == pytest.approx([-0.5, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("b", [40, 110])
+    def test_extended_roots_fully_polished(self, b):
+        from mpmath import mp, mpf
+
+        from latticejost.design import alternating_potential
+        from latticejost.jost import jost_eval_recursive, jost_eval_recursive_pair
+
+        V = alternating_potential(b, 2.0)
+        roots = bound_state_scan(V, NumericConfig.extended())
+        std = bound_state_scan(V, CFG)
+        assert len(roots) == len(std) == b
+        with mp.workdps(40):
+            mpv = [mpf(v) for v in V.values]
+            for z, z_std in zip(roots, std):
+                assert float(z) == pytest.approx(z_std, abs=1e-14)
+                f, df = jost_eval_recursive_pair(mpv, z)
+                z1 = z - f / df
+                # one more full Newton step moves the root by no more than the
+                # 1e-38 stopping tolerance; both residuals then sit at the
+                # 40-digit rounding floor, so they compare up to that floor
+                assert abs(z1 - z) <= mpf(10) ** -38 * abs(z)
+                floor = mpf(10) ** -38 * abs(z * df)
+                assert abs(f) <= abs(jost_eval_recursive(mpv, z1)) + floor
+
+    def test_extended_fallback_to_full_newton(self, monkeypatch):
+        # a root that misses the simplified-Newton stopping rule within the
+        # step cap goes on with full mp Newton steps and ends as converged
+        import latticejost.spectrum as spectrum
+        from latticejost.design import alternating_potential
+
+        V = alternating_potential(12, 2.0)
+        expected = bound_state_scan(V, NumericConfig.extended())
+        monkeypatch.setattr(spectrum, "_MP_SIMPLIFIED_STEPS", 1)
+        roots = bound_state_scan(V, NumericConfig.extended())
+        assert all(abs(z - e) <= 1e-38 * abs(e) for z, e in zip(roots, expected))
+        assert len(roots) == len(expected) == 12
