@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LawVerdicts:
     count_identity: bool
     bound_state_bound: bool

@@ -21,7 +21,7 @@ from .spectrum import (
 __all__ = ["SpectralReport", "analyze"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralReport:
     """Aggregate of potential, polynomial, ledger, bound states, and verdicts."""
 

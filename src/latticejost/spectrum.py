@@ -4,11 +4,22 @@ Roots are located by balanced companion-matrix eigenvalues, polished by
 Newton steps, merged into multiplicity clusters, and then binned by the
 interval scheme: bound states in (-1,0) and (0,1), real resonances beyond
 +-1, exceptional zeros at +-1, and complex pairs outside the unit circle.
+
+In extended precision the roots are refined from the exact coefficients
+(Aberth in :func:`find_zeros`, Newton in the norming constants) by one
+fixed-point kernel, :func:`_horner_fixed`: exact Python ints scaled by 2^F
+with F = ceil(dps log2 10) + 40 bits for a dps-digit refinement (more for
+roots tinier than 2^-40 or a leading coefficient below 1/2).  Only the
+norming constants' products and quotients, whose magnitudes span too wide a
+range for fixed point, are formed in mpmath.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -100,42 +111,106 @@ def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
     return out
 
 
+def _fixed_scales(coeffs: Sequence, roots: Sequence[complex], dps: int) -> tuple[int, int]:
+    """Fraction bits (F, C) of the roots and of the coefficients of p.
+
+    F = ceil(dps log2 10) + 40 resolves every root of modulus 2^-40 or more
+    to dps digits; a smaller root adds the bits it lacks.  The coefficients
+    carry C - F more bits when the leading one is below 1/2, which lifts it
+    to at least 1/2: with the constant term 1 of f0, p then keeps dps digits
+    relative to its size inside and outside the unit circle alike.
+    """
+    F = math.ceil(dps * math.log2(10)) + 40
+    F += max([0] + [-(math.frexp(abs(z))[1] + 40) for z in roots])
+    n, d = coeffs[-1].as_integer_ratio()
+    return F, F + max(0, d.bit_length() - abs(n).bit_length())
+
+
+def _fixed(c, F: int) -> int:
+    """round(c * 2^F) for an exact int, Fraction or float c."""
+    n, d = c.as_integer_ratio()
+    return ((n << (F + 1)) // d + 1) >> 1
+
+
+def _fixed_div(ar: int, ai: int, br: int, bi: int, F: int) -> tuple[int, int]:
+    """(a / b) * 2^F for complex a, b != 0 given as ints at one common scale."""
+    n2 = br * br + bi * bi
+    return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
+
+
+def _horner_fixed(desc: Sequence[int], zr: int, zi: int, F: int) -> tuple[int, int, int, int]:
+    """p(z) and p'(z) in one Horner pass over fixed-point complex ints.
+
+    z is scaled by 2^F; desc holds the coefficients highest degree first,
+    all at one scale 2^C, which is also the scale of the results.  Each
+    product is truncated back to scale 2^C, so a step errs by at most one
+    unit 2^-C.  Returns (Re p, Im p, Re p', Im p').
+    """
+    pr, pi, dr, di = desc[0], 0, 0, 0
+    for c in desc[1:]:
+        dr, di, pr, pi = (
+            ((dr * zr - di * zi) >> F) + pr,
+            ((dr * zi + di * zr) >> F) + pi,
+            ((pr * zr - pi * zi) >> F) + c,
+            (pr * zi + pi * zr) >> F,
+        )
+    return pr, pi, dr, di
+
+
 def _aberth(coeffs_exact: Sequence, seeds: list[complex], dps: int = 50, maxit: int = 120):
-    """Simultaneous Aberth-Ehrlich refinement at working precision dps."""
-    from mpmath import mp, mpc, mpf
+    """Simultaneous Aberth-Ehrlich refinement to about dps digits.
 
-    with mp.workdps(dps):
-        coeffs = [mp.mpmathify(c) for c in coeffs_exact]
-        dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-
-        def horner(cs, z):
-            acc = mpc(0)
-            for a in reversed(cs):
-                acc = acc * z + a
-            return acc
-
-        # tiny deterministic shear so that coincident double seeds separate
-        roots = [mpc(z) + mpc(1, 1) * mpf(10) ** (-14) * (k + 1) for k, z in enumerate(seeds)]
-        tol = mpf(10) ** (-(dps - 8))
-        for _ in range(maxit):
-            maxcorr = mpf(0)
-            new = []
-            for k, zk in enumerate(roots):
-                pv = horner(coeffs, zk)
-                dv = horner(dcoeffs, zk)
-                if dv == 0:
-                    new.append(zk)
-                    continue
-                ratio = pv / dv
-                ssum = sum(1 / (zk - zj) for j, zj in enumerate(roots) if j != k)
-                denom = 1 - ratio * ssum
-                corr = ratio if denom == 0 else ratio / denom
-                maxcorr = max(maxcorr, abs(corr))
-                new.append(zk - corr)
-            roots = new
-            if maxcorr < tol:
-                break
-        return [complex(r) for r in roots]
+    The arithmetic is fixed point: exact Python ints scaled by 2^F, with
+    F = ceil(dps log2 10) + 40 unless a seed is tinier than 2^-40, and f0
+    evaluated by :func:`_horner_fixed` from the exactly rounded coefficients
+    (see :func:`_fixed_scales`).  Each pass updates every root from the
+    previous pass's roots; it stops once every correction is below
+    10^-(dps-8) in absolute value.  The roots come back as correctly
+    rounded complex values.  A seed beyond double range (an overflowed
+    companion eigenvalue) raises FloatOverflowError.
+    """
+    if not all(cmath.isfinite(z) for z in seeds):
+        raise FloatOverflowError("a root of the Jost polynomial leaves double range")
+    F, C = _fixed_scales(coeffs_exact, seeds, dps)
+    desc = [_fixed(c, C) for c in reversed(coeffs_exact)]
+    # tiny deterministic shear so that coincident double seeds separate
+    roots = []
+    for k, z in enumerate(seeds):
+        shear = _fixed(Fraction(k + 1, 10**14), F)
+        roots.append((_fixed(z.real, F) + shear, _fixed(z.imag, F) + shear))
+    n = len(roots)
+    one = 1 << F
+    tol_scale = 10 ** (2 * (dps - 8))  # |corr| < 10^-(dps-8), squared
+    for _ in range(maxit):
+        # sum_j 1/(z_k - z_j), one reciprocal per pair of roots
+        sr, si = [0] * n, [0] * n
+        for k, (zkr, zki) in enumerate(roots):
+            for j in range(k + 1, n):
+                er, ei = zkr - roots[j][0], zki - roots[j][1]
+                q = (1 << 3 * F) // (er * er + ei * ei)  # 2^F / |e|^2
+                ir, ii = (er * q) >> F, -((ei * q) >> F)
+                sr[k] += ir
+                si[k] += ii
+                sr[j] -= ir
+                si[j] -= ii
+        maxcorr2 = 0
+        new = []
+        for k, (zkr, zki) in enumerate(roots):
+            pr, pi, dr, di = _horner_fixed(desc, zkr, zki, F)
+            if dr == 0 and di == 0:
+                new.append((zkr, zki))
+                continue
+            rr, ri = _fixed_div(pr, pi, dr, di, F)
+            # denom = 1 - ratio * ssum
+            er = one - ((rr * sr[k] - ri * si[k]) >> F)
+            ei = -((rr * si[k] + ri * sr[k]) >> F)
+            cr, ci = (rr, ri) if er == 0 and ei == 0 else _fixed_div(rr, ri, er, ei, F)
+            maxcorr2 = max(maxcorr2, cr * cr + ci * ci)
+            new.append((zkr - cr, zki - ci))
+        roots = new
+        if maxcorr2 * tol_scale < one * one:
+            break
+    return [complex(zr / one, zi / one) for zr, zi in roots]
 
 
 def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int]]:
@@ -205,14 +280,14 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
 # classification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedZero:
     z: complex
     multiplicity: int
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroLedger:
     """All zeros with interval classes, ordering integers, and counts."""
 
@@ -343,7 +418,7 @@ def classify_zeros(
 # norming constants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundState:
     k: int
     alpha: float
@@ -359,53 +434,49 @@ def _norming_constants_mp(
 
     A bound state alpha can have a resonance near its reciprocal 1/alpha,
     which makes the factor (1 - alpha * r) — and equally f0(1/alpha) —
-    cancel catastrophically in double arithmetic.  Re-polishing every root
-    from the exact coefficients and evaluating both formulas at working
-    precision removes that loss.
+    cancel catastrophically in double arithmetic.  Every root is therefore
+    re-polished from the exact coefficients by Newton steps (times its
+    multiplicity) in the fixed-point kernel of :func:`_aberth`, roots scaled
+    by 2^F with F = ceil(dps log2 10) + 40 (see :func:`_fixed_scales`),
+    which also evaluates f0(1/alpha) and f0'(alpha).  The products,
+    alpha^(2b) and the residue quotient are formed in mpmath at dps digits:
+    their magnitudes span too wide a range for fixed point.  Each
+    fixed-point value enters mpmath exactly as mpf((man, -F)), rounded to
+    dps digits.
     """
-    from fractions import Fraction
-
     from mpmath import mp, mpc, mpf
 
+    exact = p.exact if p.exact else p.coeffs
+    F, C = _fixed_scales(exact, [cz.z for cz in ledger.zeros], dps)
+    desc = [_fixed(c, C) for c in reversed(exact)]
+    step_scale = 10 ** (2 * (dps - 5))  # |step| < 10^-(dps-5), squared
+    one = 1 << F
+
+    def polish(z: complex, mult: int) -> tuple[int, int]:
+        wr, wi = _fixed(z.real, F), _fixed(z.imag, F)
+        for _ in range(10):
+            pr, pi, dr, di = _horner_fixed(desc, wr, wi, F)
+            if dr == 0 and di == 0:
+                break
+            sr, si = _fixed_div(mult * pr, mult * pi, dr, di, F)
+            wr, wi = wr - sr, wi - si
+            if (sr * sr + si * si) * step_scale < one * one:
+                break
+        return wr, wi
+
+    reals_fx: list[int] = []
+    cplx_fx: list[tuple[int, int]] = []
+    for cz in ledger.zeros:
+        wr, wi = polish(cz.z, cz.multiplicity)
+        if cz.kind == COMPLEX_PAIR:
+            cplx_fx.extend([(wr, wi)] * cz.multiplicity)
+        else:
+            reals_fx.extend([wr] * cz.multiplicity)
+    reals_fx.sort()
+
     with mp.workdps(dps):
-        exact = p.exact if p.exact else p.coeffs
-
-        def conv(c):
-            if isinstance(c, Fraction):
-                return mpf(c.numerator) / mpf(c.denominator)
-            return mpf(c)
-
-        coeffs = [conv(c) for c in exact]
-        dcoeffs = [j * coeffs[j] for j in range(1, len(coeffs))]
-
-        def horner(cs, z):
-            acc = mpc(0)
-            for a in reversed(cs):
-                acc = acc * z + a
-            return acc
-
-        def polish(z: complex, mult: int):
-            w = mpc(z)
-            for _ in range(10):
-                d = horner(dcoeffs, w)
-                if d == 0:
-                    break
-                step = mult * horner(coeffs, w) / d
-                w -= step
-                if abs(step) < mpf(10) ** (-(dps - 5)):
-                    break
-            return w
-
-        reals: list = []
-        cplx: list = []
-        for cz in ledger.zeros:
-            w = polish(cz.z, cz.multiplicity)
-            if cz.kind == COMPLEX_PAIR:
-                cplx.extend([w] * cz.multiplicity)
-            else:
-                reals.extend([w.real] * cz.multiplicity)
-        reals.sort()
-
+        reals = [mpf((r, -F)) for r in reals_fx]
+        cplx = [mpc(mpf((r, -F)), mpf((i, -F))) for r, i in cplx_fx]
         out = []
         for k, _ in ledger.bound_state_roots():
             alpha = reals[k - 1]
@@ -419,9 +490,10 @@ def _norming_constants_mp(
             for a in cplx:
                 den *= alpha - a
             c2_product = (num / den).real / alpha ** (2 * ledger.b)
-            c2_residue = (
-                horner(coeffs, 1 / alpha) / (alpha * horner(dcoeffs, alpha))
-            ).real
+            inv_alpha, _ = _fixed_div(one, 0, reals_fx[k - 1], 0, F)
+            f_inv = _horner_fixed(desc, inv_alpha, 0, F)[0]
+            df_alpha = _horner_fixed(desc, reals_fx[k - 1], 0, F)[2]
+            c2_residue = mpf((f_inv, -C)) / (alpha * mpf((df_alpha, -C)))
             out.append(
                 BoundState(
                     k=k,
@@ -445,7 +517,10 @@ def norming_constants(
 
     With an extended-precision config both formulas are evaluated in
     multiprecision, which survives the near-reciprocal bound-state /
-    resonance configuration that defeats double arithmetic.
+    resonance configuration that defeats double arithmetic: the roots are
+    re-polished and f0(1/alpha), f0'(alpha) evaluated in the fixed-point
+    kernel (F = 173 bits for 40 digits), the products and quotients formed
+    in mpmath at 40 digits (see :func:`_norming_constants_mp`).
     """
     if cfg is not None and cfg.is_extended:
         return _norming_constants_mp(ledger, p)
@@ -497,7 +572,7 @@ def norming_constant_at(
 # sign diagnostics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignRecord:
     k: int
     alpha: float

@@ -6,6 +6,7 @@ import pytest
 from latticejost.core import NumericConfig, validate_potential
 from latticejost.errors import (
     CountMismatchError,
+    FloatOverflowError,
     NotABoundStateError,
     UnitCircleViolationError,
 )
@@ -59,6 +60,59 @@ class TestFindZeros:
         p = jost_coefficients(validate_potential(EX42_POTENTIAL))
         roots = sorted(z.real for z, m in find_zeros(p, cfg))
         assert roots == pytest.approx([-0.5, 0.5, SQRT5], abs=1e-14)
+
+
+def _polyroots_reference(p, cfg):
+    """Roots of p by mpmath's own polyroots at 60 digits, snapped as find_zeros
+    snaps them; this route shares no code with the library's refinement."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(60):
+        desc = [mpf(c.numerator) / c.denominator for c in reversed(p.exact)]
+        roots = [complex(r) for r in mp.polyroots(desc, maxsteps=200, extraprec=200)]
+    return [complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in roots]
+
+
+_REFERENCE_RNG = np.random.default_rng(20)
+REFERENCE_POTENTIALS = [
+    *(
+        pytest.param(list(_REFERENCE_RNG.uniform(-3, 3, b)), id=f"rand-b{b}")
+        for b in (4, 8, 12, 20)
+    ),
+    pytest.param([2.0, 1e-10], id="tail-1e-10"),
+    pytest.param([1.0, -2.0, 1e-12], id="tail-1e-12"),
+    pytest.param(list(_REFERENCE_RNG.uniform(-300, 300, 8)), id="rand300-b8"),
+    # roots above 1e30: the coefficients' fixed-point scale adapts
+    pytest.param([2.0, 1e-60], id="tail-1e-60"),
+    pytest.param([0.5, 1e-100], id="tail-1e-100"),
+]
+
+
+@pytest.mark.parametrize("values", REFERENCE_POTENTIALS)
+def test_extended_roots_match_independent_reference(values):
+    cfg = NumericConfig.extended()
+    p = jost_coefficients(validate_potential(values))
+    got = [z for z, m in find_zeros(p, cfg) for _ in range(m)]
+    want = _polyroots_reference(p, cfg)
+    assert len(got) == len(want) == 2 * len(values) - 1
+    for z in got:
+        i = min(range(len(want)), key=lambda i: abs(want[i] - z))
+        assert abs(want[i] - z) <= 1e-15 * abs(want[i]), (z, want[i])
+        want.pop(i)
+
+
+def test_extended_root_far_inside_unit_circle():
+    # f0 = 1 + 1e100 z; polyroots resolves roots only to an absolute 1e-60
+    p = jost_coefficients(validate_potential([1e100]))
+    assert find_zeros(p, NumericConfig.extended()) == [(complex(-1 / 1e100), 1)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_extended_root_beyond_double_range_is_typed():
+    # f0 = 1 + 5e-324 z: the companion eigenvalue -1/5e-324 overflows
+    p = jost_coefficients(validate_potential([5e-324]))
+    with pytest.raises(FloatOverflowError):
+        find_zeros(p, NumericConfig.extended())
 
 
 class TestClassify:
@@ -128,6 +182,20 @@ class TestNormingConstants:
         for bs in states:
             assert bs.c2_product > 0
             assert bs.c2_residue > 0
+            assert bs.c2_product == pytest.approx(bs.c2_residue, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "values",
+        [EX42_POTENTIAL, list(np.random.default_rng(20).uniform(-3, 3, 20))],
+        ids=["b2", "b20"],
+    )
+    def test_extended_cross_formula_agreement(self, values):
+        cfg = NumericConfig.extended()
+        ledger, p = ledger_for(values, cfg)
+        states = norming_constants(ledger, p, cfg)
+        assert len(states) == ledger.N > 0
+        for bs in states:
+            assert bs.c2_product > 0
             assert bs.c2_product == pytest.approx(bs.c2_residue, rel=1e-10)
 
     def test_not_a_bound_state(self):
