@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -52,14 +53,7 @@ def _config_from(args: argparse.Namespace) -> NumericConfig:
         overrides["tau_cluster"] = args.tol_cluster
     if args.tol_edge is not None:
         overrides["tau_edge"] = args.tol_edge
-    if overrides:
-        base = NumericConfig(
-            tau_real=overrides.get("tau_real", base.tau_real),
-            tau_cluster=overrides.get("tau_cluster", base.tau_cluster),
-            tau_edge=overrides.get("tau_edge", base.tau_edge),
-            precision_mode=base.precision_mode,
-        )
-    return base
+    return dataclasses.replace(base, **overrides)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -95,17 +89,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _sweep_row(b: int, amplitude: float, cfg: NumericConfig, edge_floor: float):
     t0 = time.perf_counter()
     pot = alternating_potential(b, amplitude)
-    roots = bound_state_scan(pot, cfg)
-    precision = cfg.precision_mode
-    dist = min((min(abs(r - 1), abs(r + 1)) for r in roots), default=math.nan)
-    if not cfg.is_extended and (len(roots) != b or float(dist) < edge_floor):
-        # near-edge roots (or a missed pair) need the high-precision path
-        cfg = NumericConfig.extended()
+    for cfg in (cfg, NumericConfig.extended()):
         roots = bound_state_scan(pot, cfg)
-        precision = cfg.precision_mode
         dist = min((min(abs(r - 1), abs(r + 1)) for r in roots), default=math.nan)
+        # near-edge roots (or a missed pair) need the high-precision path
+        needs_ext = len(roots) != b or float(dist) < edge_floor
+        if cfg.is_extended or not needs_ext:
+            break
     ms = (time.perf_counter() - t0) * 1e3
-    return len(roots), float(dist), precision, ms
+    return len(roots), float(dist), cfg.precision_mode, ms
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -108,11 +108,7 @@ def choose_epsilon(
     Also requires |f0(+-1)| to stay above tau_edge so that no zero sits on
     the band edge (the genericity the continuity argument needs).
     """
-    target_n = (
-        0
-        if V.b == 0
-        else classify_zeros(find_zeros(jost_coefficients(V), cfg), cfg, V.b).N
-    )
+    target_n = _classified_n(V, cfg)[0]
     eps = start
     while eps > 1e-15:
         ext = extend_with_epsilon(V, b, eps)

@@ -10,8 +10,10 @@ Two evaluation routes are provided on purpose:
 * coefficient (Horner) evaluation, exact in structure but subject to
   catastrophic cancellation for large b where coefficients span many
   orders of magnitude;
-* direct recursion evaluation at a point, which stays well conditioned
-  on and inside the unit circle and is the workhorse for large-b scans.
+* direct recursion evaluation, which stays well conditioned on and inside
+  the unit circle and is the workhorse for large-b scans.  One evaluator,
+  :func:`jost_eval_recursive`, serves float, complex and mpf points and
+  float arrays alike; :func:`jost_eval_recursive_pair` adds f0'.
 """
 
 from __future__ import annotations
@@ -153,25 +155,8 @@ def jost_solution(V: Potential, z: complex) -> list[complex]:
     return out
 
 
-def jost_eval_recursive(values: Sequence, z):
-    """f0(z) by direct recursion; generic over float, complex, and mpf.
-
-    Well conditioned for |z| <= 1 even when the coefficient vector is not;
-    this is what large-b sign scans must use.
-    """
-    b = len(values)
-    if b == 0:
-        return z / z  # one, in the arithmetic of z
-    s = z + 1 / z
-    f_next = z ** (b + 1)
-    f_cur = z**b
-    for n in range(b, 0, -1):
-        f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
-    return f_cur
-
-
-def _power(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n for an integer n >= 1 by repeated squaring.
+def _power(x, n: int):
+    """x**n for an integer n >= 1 by repeated squaring, in the arithmetic of x.
 
     numpy raises a float array to an integer power through the general pow
     of every element, which costs far more than these few multiplications
@@ -187,15 +172,20 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
         x = x * x
 
 
-def jost_eval_recursive_grid(values: Sequence[float], zs: np.ndarray) -> np.ndarray:
-    """Vectorized recursion evaluation of f0 on an array of nonzero points."""
+def jost_eval_recursive(values: Sequence, z):
+    """f0(z) by direct recursion, elementwise for an array of nonzero points.
+
+    Generic over float, complex, mpf and float arrays: the recursion starts
+    from f_b = z^b (repeated squaring) and f_(b+1) = f_b z in the arithmetic
+    of z.  Well conditioned for |z| <= 1 even when the coefficient vector is
+    not; this is what large-b sign scans must use.
+    """
     b = len(values)
-    zs = np.asarray(zs, dtype=float)
     if b == 0:
-        return np.ones_like(zs)
-    s = zs + 1.0 / zs
-    f_cur = _power(zs, b)
-    f_next = f_cur * zs
+        return z / z  # one, in the arithmetic of z
+    s = z + 1 / z
+    f_cur = _power(z, b)
+    f_next = f_cur * z
     for n in range(b, 0, -1):
         f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
     return f_cur
@@ -210,10 +200,10 @@ def jost_eval_recursive_pair(values: Sequence, z):
     zi = 1 / z
     s = z + zi
     ds = one - zi * zi
-    f_next = z ** (b + 1)
-    d_next = (b + 1) * z**b
-    f_cur = z**b
-    d_cur = b * z ** (b - 1)
+    f_cur = _power(z, b)
+    f_next = f_cur * z
+    d_next = (b + 1) * f_cur
+    d_cur = b * f_cur / z
     for n in range(b, 0, -1):
         w = s + values[n - 1]
         f_prev = -f_next + w * f_cur

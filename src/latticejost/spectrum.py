@@ -37,7 +37,6 @@ from .jost import (
     jost_eval,
     jost_eval_derivative,
     jost_eval_recursive,
-    jost_eval_recursive_grid,
     jost_eval_recursive_pair,
 )
 
@@ -68,17 +67,17 @@ COMPLEX_PAIR = "ComplexPair"
 
 def _newton_polish(coeffs: Sequence[float], z: complex, steps: int = 12) -> complex:
     """Horner-Newton refinement; a step is kept only if |f| does not grow."""
-    fz = abs(jost_eval(coeffs, z))
+    f = jost_eval(coeffs, z)
     for _ in range(steps):
         dp = jost_eval_derivative(coeffs, z)
         if dp == 0:
             break
-        step = jost_eval(coeffs, z) / dp
+        step = f / dp
         cand = z - step
-        fc = abs(jost_eval(coeffs, cand))
-        if fc >= fz:
+        fc = jost_eval(coeffs, cand)
+        if abs(fc) >= abs(f):
             break
-        z, fz = cand, fc
+        z, f = cand, fc
         if abs(step) < 1e-16 * max(1.0, abs(z)):
             break
     return z
@@ -217,8 +216,10 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     """All roots of the Jost polynomial, clustered by multiplicity.
 
     Returns (root, multiplicity) pairs; multiplicities sum to the degree.
-    Real-coefficient conjugate symmetry is enforced explicitly after the
-    Newton polish.
+    The companion eigenvalues come from LAPACK's real nonsymmetric solver,
+    which returns each nonreal pair as exact conjugates (x, +-y).  Only the
+    member with Im > 0 is polished; the other is its exact conjugate, as
+    complex *, / and abs are conjugate-symmetric in floating point.
     """
     degree = p.degree
     if degree == 0:
@@ -228,36 +229,17 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
 
     raw = np.polynomial.polynomial.polyroots(np.asarray(p.coeffs, dtype=float))
     polished: list[complex] = []
-    handled = np.zeros(len(raw), dtype=bool)
-    for i, z in enumerate(raw):
-        if handled[i]:
-            continue
-        handled[i] = True
-        z = complex(z)
+    for z in map(complex, raw):
         if abs(z.imag) < cfg.tau_real:
-            zr = _newton_polish(p.coeffs, complex(z.real))
-            if abs(zr.imag) < cfg.tau_real:
-                zr = complex(zr.real)
-            polished.append(zr)
-            continue
-        # polish one member of the conjugate pair, mirror the other
-        mate = None
-        for j in range(i + 1, len(raw)):
-            if not handled[j] and abs(complex(raw[j]) - z.conjugate()) < 1e-8 * max(1.0, abs(z)):
-                mate = j
-                break
-        zr = _newton_polish(p.coeffs, z)
-        if abs(zr.imag) < cfg.tau_real:
-            zr = complex(zr.real)
-            polished.append(zr)
-            if mate is not None:
-                handled[mate] = True
-                polished.append(zr)
-            continue
-        polished.append(zr)
-        if mate is not None:
-            handled[mate] = True
-            polished.append(zr.conjugate())
+            z = _newton_polish(p.coeffs, complex(z.real))
+            polished.append(complex(z.real) if abs(z.imag) < cfg.tau_real else z)
+        elif z.imag > 0:
+            z = _newton_polish(p.coeffs, z)
+            if abs(z.imag) < cfg.tau_real:
+                polished += [complex(z.real)] * 2
+            else:
+                # polyroots sorts the eigenvalues, so the Im < 0 member comes first
+                polished += [z.conjugate(), z]
 
     if cfg.is_extended:
         exact = p.exact if p.exact else p.coeffs
@@ -427,10 +409,42 @@ class BoundState:
     c2_residue: float
 
 
-def _norming_constants_mp(
-    ledger: ZeroLedger, p: JostPolynomial, dps: int = 40
-) -> list[BoundState]:
-    """Multiprecision variant of :func:`norming_constants`.
+def _norming_products(alpha, k: int, reals: Sequence, cplx: Sequence):
+    """Numerator and denominator of the product formula for bound state k.
+
+    reals and cplx are the multiplicity-expanded real and nonreal roots, with
+    alpha = reals[k - 1].  num = prod_a (1 - alpha a) over every root;
+    den = prod (alpha - a) over every root but index k - 1.  Both start from
+    1 + 0j, so the same code runs in float and in mpmath.
+    """
+    num = den = 1 + 0j
+    for j, a in enumerate([*reals, *cplx]):
+        num *= 1 - alpha * a
+        if j != k - 1:
+            den *= alpha - a
+    return num, den
+
+
+def _bound_state_std(ledger: ZeroLedger, p: JostPolynomial):
+    """k -> BoundState of :func:`norming_constants` in double arithmetic."""
+    reals = ledger.real_roots_expanded()
+    cplx = ledger.all_roots_expanded()[len(reals):]
+
+    def state(k: int) -> BoundState:
+        alpha = reals[k - 1]
+        num, den = _norming_products(alpha, k, reals, cplx)
+        c2_product = (num / den).real / alpha ** (2 * ledger.b)
+        c2_residue = (
+            jost_eval(p, 1.0 / alpha) / (alpha * jost_eval_derivative(p, alpha))
+        ).real
+        return BoundState(k=k, alpha=alpha, lam=2.0 - alpha - 1.0 / alpha,
+                          c2_product=c2_product, c2_residue=c2_residue)
+
+    return state
+
+
+def _bound_state_mp(ledger: ZeroLedger, p: JostPolynomial, dps: int = 40):
+    """k -> BoundState of :func:`norming_constants` in multiprecision.
 
     A bound state alpha can have a resonance near its reciprocal 1/alpha,
     which makes the factor (1 - alpha * r) — and equally f0(1/alpha) —
@@ -477,33 +491,21 @@ def _norming_constants_mp(
     with mp.workdps(dps):
         reals = [mpf((r, -F)) for r in reals_fx]
         cplx = [mpc(mpf((r, -F)), mpf((i, -F))) for r, i in cplx_fx]
-        out = []
-        for k, _ in ledger.bound_state_roots():
+
+    def state(k: int) -> BoundState:
+        with mp.workdps(dps):
             alpha = reals[k - 1]
-            num = mpc(1)
-            for a in reals + cplx:
-                num *= 1 - alpha * a
-            den = mpc(1)
-            for j, a in enumerate(reals):
-                if j != k - 1:
-                    den *= alpha - a
-            for a in cplx:
-                den *= alpha - a
+            num, den = _norming_products(alpha, k, reals, cplx)
             c2_product = (num / den).real / alpha ** (2 * ledger.b)
             inv_alpha, _ = _fixed_div(one, 0, reals_fx[k - 1], 0, F)
             f_inv = _horner_fixed(desc, inv_alpha, 0, F)[0]
             df_alpha = _horner_fixed(desc, reals_fx[k - 1], 0, F)[2]
             c2_residue = mpf((f_inv, -C)) / (alpha * mpf((df_alpha, -C)))
-            out.append(
-                BoundState(
-                    k=k,
-                    alpha=float(alpha),
-                    lam=float(2 - alpha - 1 / alpha),
-                    c2_product=float(c2_product),
-                    c2_residue=float(c2_residue),
-                )
-            )
-        return out
+            return BoundState(k=k, alpha=float(alpha), lam=float(2 - alpha - 1 / alpha),
+                              c2_product=float(c2_product),
+                              c2_residue=float(c2_residue))
+
+    return state
 
 
 def norming_constants(
@@ -513,45 +515,29 @@ def norming_constants(
 
     Product route: c^2 = alpha^(-2b) prod_s (1 - alpha alpha_s) /
     prod_{j != k} (alpha - alpha_j) over the multiplicity-expanded root
-    list.  Residue route: c^2 = f0(1/alpha) / (alpha f0'(alpha)).
+    list (:func:`_norming_products`).  Residue route:
+    c^2 = f0(1/alpha) / (alpha f0'(alpha)).
 
     With an extended-precision config both formulas are evaluated in
     multiprecision, which survives the near-reciprocal bound-state /
     resonance configuration that defeats double arithmetic: the roots are
     re-polished and f0(1/alpha), f0'(alpha) evaluated in the fixed-point
     kernel (F = 173 bits for 40 digits), the products and quotients formed
-    in mpmath at 40 digits (see :func:`_norming_constants_mp`).
+    in mpmath at 40 digits (see :func:`_bound_state_mp`).  In either
+    precision a quotient that divides by zero (two roots that coincide at
+    the working precision) raises FloatOverflowError.
     """
-    if cfg is not None and cfg.is_extended:
-        return _norming_constants_mp(ledger, p)
-    all_roots = ledger.all_roots_expanded()
-    reals = ledger.real_roots_expanded()
+    ext = cfg is not None and cfg.is_extended
+    state = _bound_state_mp(ledger, p) if ext else _bound_state_std(ledger, p)
     out = []
     for k, alpha in ledger.bound_state_roots():
-        num = 1.0 + 0.0j
-        for a in all_roots:
-            num *= 1.0 - alpha * a
-        den = 1.0 + 0.0j
-        skipped = False
-        for a in all_roots:
-            # skip exactly one instance of the bound-state root itself
-            if not skipped and a.imag == 0.0 and a.real == reals[k - 1]:
-                skipped = True
-                continue
-            den *= alpha - a
         try:
-            c2_product = (num / den).real / alpha ** (2 * ledger.b)
-            c2_residue = (
-                jost_eval(p, 1.0 / alpha) / (alpha * jost_eval_derivative(p, alpha))
-            ).real
+            out.append(state(k))
         except ZeroDivisionError as exc:
             raise FloatOverflowError(
                 f"norming constant of bound state k={k} at alpha={alpha!r} "
-                f"leaves double precision"
+                f"leaves {'40-digit' if ext else 'double'} precision"
             ) from exc
-        lam = 2.0 - alpha - 1.0 / alpha
-        out.append(BoundState(k=k, alpha=alpha, lam=lam, c2_product=c2_product,
-                              c2_residue=c2_residue))
     return out
 
 
@@ -592,7 +578,7 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
     product P- (for alpha in (-1,0)) or P+ (for alpha in (0,1)).
     """
     reals = ledger.real_roots_expanded()
-    all_roots = ledger.all_roots_expanded()
+    cplx = ledger.all_roots_expanded()[len(reals):]
     p_, r_, s_ = ledger.p, ledger.r, ledger.s
     out = []
     for k, alpha in ledger.bound_state_roots():
@@ -602,13 +588,7 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
         pp = 1.0
         for j in range(r_, s_):
             pp *= 1.0 - reals[j] * alpha
-        den = 1.0 + 0.0j
-        skipped = False
-        for a in all_roots:
-            if not skipped and a.imag == 0.0 and a.real == reals[k - 1]:
-                skipped = True
-                continue
-            den *= alpha - a
+        _, den = _norming_products(alpha, k, reals, cplx)
         parity = 1 if (k - 1) % 2 == 0 else -1
         s_pm = 1 if pm > 0 else -1
         s_pp = 1 if pp > 0 else -1
@@ -667,7 +647,7 @@ def _refine_brackets(values, a, c, fa, fc) -> np.ndarray:
         x = c - fc * width / (fc - fa)
         x = np.where((x >= a) & (x <= c) & (stalled < 3), x, 0.5 * (a + c))
         x = np.clip(x, a + 0.5 * tol, c - 0.5 * tol)
-        fx = jost_eval_recursive_grid(values, x)
+        fx = jost_eval_recursive(values, x)
         move_a = live & (np.sign(fx) == np.sign(fa))
         move_c = live & ~move_a
         # Illinois: an end kept for a second pass has its value halved
@@ -740,7 +720,7 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
         uni = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, density * b + 64)
         xs = np.unique(np.concatenate([uni, _GEO_EDGE, -_GEO_EDGE]))
         xs = xs[np.abs(xs) > 1e-13]
-        vals = jost_eval_recursive_grid(values, xs)
+        vals = jost_eval_recursive(values, xs)
         sgn = np.sign(vals)
         idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
         if len(idx) >= b:

@@ -60,6 +60,14 @@ class TestAnalyze:
         assert err.startswith("numerical diagnostic:")
         assert "double precision" in err
 
+    @pytest.mark.parametrize("potential", ["[1e40, 1e40]", "[1e20, -1e20, 1e20]"])
+    def test_extended_norming_failure_is_typed(self, capsys, potential):
+        code, out, err = run(capsys, "analyze", potential, "--precision", "ext")
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err.startswith("numerical diagnostic:")
+        assert "Traceback" not in err
+
     def test_precision_env(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")
         _, out, _ = run(capsys, "analyze", "[2]")

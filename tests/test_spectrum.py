@@ -115,6 +115,35 @@ def test_extended_root_beyond_double_range_is_typed():
         find_zeros(p, NumericConfig.extended())
 
 
+def _conjugate_closed(roots) -> bool:
+    """Every nonreal (root, count) has its exact conjugate at the same count."""
+    counts = {}
+    for z, m in roots:
+        counts[z] = counts.get(z, 0) + m
+    return all(counts.get(z.conjugate()) == m for z, m in counts.items() if z.imag)
+
+
+def test_nonreal_roots_come_in_exact_conjugate_pairs():
+    # find_zeros polishes only the Im > 0 member of each companion pair and
+    # mirrors it; this pins LAPACK returning the pairs as exact conjugates
+    rng = np.random.default_rng(31)
+    draws = [rng.uniform(-3, 3, int(rng.integers(1, 17))) for _ in range(60)]
+    classified = 0
+    for values in draws + [rng.uniform(-3, 3, 40) for _ in range(6)]:
+        p = jost_coefficients(validate_potential(list(values)))
+        raw = np.polynomial.polynomial.polyroots(np.asarray(p.coeffs))
+        assert _conjugate_closed([(complex(z), 1) for z in raw]), list(values)
+        roots = find_zeros(p, CFG)
+        assert _conjugate_closed(roots), list(values)
+        if len(values) == 40:
+            try:
+                classify_zeros(roots, CFG, 40)
+            except (CountMismatchError, UnitCircleViolationError):
+                continue
+            classified += 1
+    assert classified > 0
+
+
 class TestClassify:
     def test_single_bound_state(self):
         ledger, _ = ledger_for([2.0])
@@ -197,6 +226,15 @@ class TestNormingConstants:
         for bs in states:
             assert bs.c2_product > 0
             assert bs.c2_product == pytest.approx(bs.c2_residue, rel=1e-10)
+
+    @pytest.mark.parametrize("values", [[1e40, 1e40], [1e20, -1e20, 1e20]])
+    def test_extended_coincident_roots_are_typed(self, values):
+        # two polished roots coincide at 40 digits: the product quotient
+        # divides by zero, which must surface as a typed error
+        cfg = NumericConfig.extended()
+        ledger, p = ledger_for(values, cfg)
+        with pytest.raises(FloatOverflowError, match="40-digit precision"):
+            norming_constants(ledger, p, cfg)
 
     def test_not_a_bound_state(self):
         ledger, p = ledger_for(EX42_POTENTIAL)
