@@ -70,8 +70,7 @@ def _parse_roots(raw: str) -> list[complex]:
     return [complex(tok.strip().replace("i", "j")) for tok in raw.split(",") if tok.strip()]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_analyze(args: argparse.Namespace, cfg: NumericConfig) -> int:
     try:
         pot = load_potential(args.potential)
     except (LatticeJostError, ValueError, OSError) as exc:
@@ -100,14 +99,13 @@ def _sweep_row(b: int, amplitude: float, cfg: NumericConfig, edge_floor: float):
     return len(roots), float(dist), cfg.precision_mode, ms
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
     if args.family != "alternating":
         print(f"unknown family {args.family!r}", file=sys.stderr)
         return EXIT_INPUT
     if args.bmax < 1:
         print("--bmax must be at least 1", file=sys.stderr)
         return EXIT_INPUT
-    cfg = _config_from(args)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_HEADER)
@@ -127,8 +125,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_VERDICT if failures else EXIT_OK
 
 
-def cmd_design(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
     try:
         if args.mode == "b2":
             roots = _parse_roots(args.roots)
@@ -193,8 +190,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+def cmd_oracle(args: argparse.Namespace, cfg: NumericConfig) -> int:
     try:
         pot = load_potential(args.potential)
     except (LatticeJostError, ValueError, OSError) as exc:
@@ -293,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = _config_from(args)
+    except ValueError as exc:  # a tolerance NumericConfig rejects
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return args.func(args, cfg)
 
 
 if __name__ == "__main__":

@@ -10,12 +10,15 @@ Only those out-of-band eigenvalues are computed: Sturm-sequence bisection
 (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK stebz) is run on
 the two intervals below -margin and above 4 + margin, closed by Gershgorin
 bounds, so the cost follows the number of bound states, not M.
+
+scipy is imported inside truncated_eigenvalues and oracle_bound_states,
+its only users, so that importing latticejost and the analyze, sweep and
+design paths never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import Potential
 
@@ -28,6 +31,8 @@ def truncated_eigenvalues(V: Potential, M: int) -> np.ndarray:
     Computed by bisection on Sturm sequences (LAPACK stebz), which has
     guaranteed convergence for symmetric tridiagonal matrices.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = _truncation(V, M)
     return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
 
@@ -49,6 +54,8 @@ def oracle_bound_states(V: Potential, M: int = 800, margin: float = 1e-6) -> lis
     spectrum; the strict filter then drops an eigenvalue equal to -margin.
     Ascending, and equal to the out-of-band part of truncated_eigenvalues.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     if margin <= 0:
         raise ValueError("margin must be positive")
     diag, off = _truncation(V, M)

@@ -165,11 +165,8 @@ def _aberth(coeffs_exact: Sequence, seeds: list[complex], dps: int = 50, maxit: 
     (see :func:`_fixed_scales`).  Each pass updates every root from the
     previous pass's roots; it stops once every correction is below
     10^-(dps-8) in absolute value.  The roots come back as correctly
-    rounded complex values.  A seed beyond double range (an overflowed
-    companion eigenvalue) raises FloatOverflowError.
+    rounded complex values.
     """
-    if not all(cmath.isfinite(z) for z in seeds):
-        raise FloatOverflowError("a root of the Jost polynomial leaves double range")
     F, C = _fixed_scales(coeffs_exact, seeds, dps)
     desc = [_fixed(c, C) for c in reversed(coeffs_exact)]
     # tiny deterministic shear so that coincident double seeds separate
@@ -220,12 +217,22 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     which returns each nonreal pair as exact conjugates (x, +-y).  Only the
     member with Im > 0 is polished; the other is its exact conjugate, as
     complex *, / and abs are conjugate-symmetric in floating point.
+
+    A leading coefficient so small that the companion matrix (the other
+    coefficients divided by it) leaves double range, or a root that does
+    after polishing, raises FloatOverflowError in either precision.
     """
     degree = p.degree
     if degree == 0:
         return []
-    if p.coeffs[-1] == 0.0:
+    lead = p.coeffs[-1]
+    if lead == 0.0:
         raise DegenerateDegreeError("leading Jost coefficient is zero")
+    if not all(math.isfinite(c / lead) for c in p.coeffs):
+        raise FloatOverflowError(
+            f"leading Jost coefficient {lead!r} puts the companion matrix "
+            "beyond double precision"
+        )
 
     raw = np.polynomial.polynomial.polyroots(np.asarray(p.coeffs, dtype=float))
     polished: list[complex] = []
@@ -240,6 +247,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
             else:
                 # polyroots sorts the eigenvalues, so the Im < 0 member comes first
                 polished += [z.conjugate(), z]
+    if not all(cmath.isfinite(z) for z in polished):
+        raise FloatOverflowError("a root of the Jost polynomial leaves double range")
 
     if cfg.is_extended:
         exact = p.exact if p.exact else p.coeffs

@@ -52,7 +52,7 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["precision_mode"] == "extended"
 
-    @pytest.mark.parametrize("potential", ["[1e200]", "[1e200, 1e200]"])
+    @pytest.mark.parametrize("potential", ["[1e200]", "[1e200, 1e200]", "[1, 5e-324]"])
     def test_float_overflow_is_typed(self, capsys, potential):
         code, out, err = run(capsys, "analyze", potential)
         assert code == EXIT_VERDICT
@@ -72,6 +72,24 @@ class TestAnalyze:
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")
         _, out, _ = run(capsys, "analyze", "[2]")
         assert json.loads(out)["config"]["precision_mode"] == "extended"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "[2]"],
+        ["sweep", "--bmax", "6"],
+        ["design", "amplify", "--signs", "+,-"],
+        ["oracle", "[2]"],
+    ],
+    ids=["analyze", "sweep", "design", "oracle"],
+)
+def test_rejected_tolerance_is_input_error(capsys, argv):
+    # NumericConfig requires tau_cluster >= tau_real; ext sets tau_cluster = 1e-16
+    code, out, err = run(capsys, *argv, "--precision", "ext", "--tol-real", "1e-10")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: tau_cluster must be at least tau_real\n"
 
 
 class TestSweep:

@@ -107,12 +107,18 @@ def test_extended_root_far_inside_unit_circle():
     assert find_zeros(p, NumericConfig.extended()) == [(complex(-1 / 1e100), 1)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_extended_root_beyond_double_range_is_typed():
-    # f0 = 1 + 5e-324 z: the companion eigenvalue -1/5e-324 overflows
-    p = jost_coefficients(validate_potential([5e-324]))
-    with pytest.raises(FloatOverflowError):
-        find_zeros(p, NumericConfig.extended())
+@pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+@pytest.mark.parametrize(
+    "values", [[1, 5e-324], [5e-324, 5e-324], [5e-324]],
+    ids=["[1, 5e-324]", "[5e-324, 5e-324]", "[5e-324]"],
+)
+def test_subnormal_leading_coefficient_is_typed(values, cfg):
+    # the companion matrix divides by the leading coefficient 5e-324 and
+    # would hold inf; for [5e-324], f0 = 1 + 5e-324 z, its one entry
+    # -1/5e-324 overflows and std would return a NaN root
+    p = jost_coefficients(validate_potential(values))
+    with pytest.raises(FloatOverflowError, match="companion matrix"):
+        find_zeros(p, cfg)
 
 
 def _conjugate_closed(roots) -> bool:
