@@ -30,6 +30,7 @@ from .spectrum import bound_state_scan
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERDICT = 3
+EXIT_PIPE = 1  # standard output closed before the command finished writing
 
 SWEEP_HEADER = ["b", "N", "min_edge_distance", "precision", "ms"]
 
@@ -91,9 +92,8 @@ def _sweep_row(b: int, amplitude: float, cfg: NumericConfig, edge_floor: float):
     for cfg in (cfg, NumericConfig.extended()):
         roots = bound_state_scan(pot, cfg)
         dist = min((min(abs(r - 1), abs(r + 1)) for r in roots), default=math.nan)
-        # near-edge roots (or a missed pair) need the high-precision path
-        needs_ext = len(roots) != b or float(dist) < edge_floor
-        if cfg.is_extended or not needs_ext:
+        # near-edge roots need the high-precision path
+        if cfg.is_extended or not float(dist) < edge_floor:
             break
     ms = (time.perf_counter() - t0) * 1e3
     return len(roots), float(dist), cfg.precision_mode, ms
@@ -294,7 +294,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # a tolerance NumericConfig rejects
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return args.func(args, cfg)
+    try:
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again (as the Python signal docs advise)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -237,13 +237,17 @@ def fg_decompose(V: Potential, p: JostPolynomial) -> FGDecomposition:
     return FGDecomposition(F_coefficient=prod, G=tuple(g), b=V.b)
 
 
+def _rouche_margin(V: Potential, p: JostPolynomial) -> float:
+    """:func:`rouche_margin` of V from its already built polynomial p."""
+    fg = fg_decompose(V, p)
+    return abs(fg.F_coefficient) - sum(abs(g) for g in fg.G)
+
+
 def rouche_margin(V: Potential) -> float:
     """|prod V_j| minus the coefficient-sum bound on |G| over the unit circle.
 
     min |F| on |z| = 1 is exactly |prod V_j| while sum |G_j| dominates
     max |G|, so a positive margin certifies that f0 has exactly b zeros
-    inside the unit circle, i.e. N = b.
+    inside the unit circle, i.e. N = b.  For b = 0 it is 1.
     """
-    p = jost_coefficients(V)
-    fg = fg_decompose(V, p)
-    return abs(fg.F_coefficient) - sum(abs(g) for g in fg.G)
+    return _rouche_margin(V, jost_coefficients(V))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NumericConfig, Potential
-from .jost import JostPolynomial, jost_coefficients, rouche_margin
-from .spectrum import ZeroLedger, classify_zeros, find_zeros
+from .jost import JostPolynomial, _rouche_margin, jost_coefficients
+from .spectrum import ZeroLedger, find_zeros
 
 __all__ = [
     "LawVerdicts",
@@ -113,27 +113,38 @@ def _multiset_close(a: list[complex], b: list[complex], tol: float) -> bool:
     return True
 
 
+def _mirrors_negated(zeros: list[complex], V: Potential, cfg: NumericConfig) -> bool:
+    """Whether V's zeros (multiplicity-expanded) are the negated zeros of -V.
+
+    The -V polynomial is built from -V's own values, so the comparison also
+    tests the recursion and the root finder.  The ledger moves an edge zero
+    by up to tau_edge when it snaps it to +-1; the tolerance allows for that.
+    """
+    mirrored = find_zeros(jost_coefficients(V.negated()), cfg)
+    negated = [-z for z, m in mirrored for _ in range(m)]
+    return _multiset_close(zeros, negated, max(cfg.tau_cluster, 1e-10) + cfg.tau_edge)
+
+
 def check_sign_flip_symmetry(V: Potential, cfg: NumericConfig) -> bool:
     """Negating the potential negates the zero multiset of f0.
 
     Follows from the coefficient parity f0^{-V}(z) = f0^V(-z).
     """
-    if V.b == 0:
-        return True
-    roots_v = find_zeros(jost_coefficients(V), cfg)
-    roots_m = find_zeros(jost_coefficients(V.negated()), cfg)
-    a = [z for z, m in roots_v for _ in range(m)]
-    c = [-z for z, m in roots_m for _ in range(m)]
-    return _multiset_close(a, c, max(cfg.tau_cluster, 1e-10))
+    roots = find_zeros(jost_coefficients(V), cfg)
+    return _mirrors_negated([z for z, m in roots for _ in range(m)], V, cfg)
 
 
 def evaluate_laws(
     V: Potential, p: JostPolynomial, ledger: ZeroLedger, cfg: NumericConfig
 ) -> LawVerdicts:
-    """Run every checker and bundle the verdicts."""
+    """Run every checker on V's polynomial p and ledger, bundling the verdicts.
+
+    The ledger must classify p's roots under cfg: V's zeros for the sign-flip
+    verdict are taken from it, and the Rouche margin from p, so nothing of V
+    is rebuilt.  Only -V's polynomial and zeros are computed here.
+    """
     ok_minus, eps_minus, ok_plus, eps_plus = check_resonance_inequalities(ledger)
-    margin = rouche_margin(V) if V.b >= 1 else 1.0
-    rouche = (ledger.N == V.b) if margin > 0 else None
+    rouche = (ledger.N == V.b) if _rouche_margin(V, p) > 0 else None
     return LawVerdicts(
         count_identity=check_count_identity(ledger, V.b),
         bound_state_bound=check_bound_state_bound(ledger, V.b),
@@ -143,5 +154,5 @@ def evaluate_laws(
         eps_plus=eps_plus,
         small_coeff_certificate=check_small_coefficient_criterion(p, ledger),
         rouche_certificate=rouche,
-        sign_flip_symmetry=check_sign_flip_symmetry(V, cfg),
+        sign_flip_symmetry=_mirrors_negated(ledger.all_roots_expanded(), V, cfg),
     )

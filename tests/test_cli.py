@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from latticejost.cli import EXIT_INPUT, EXIT_OK, EXIT_VERDICT, main
+import latticejost
+from latticejost import cli
+from latticejost.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPE, EXIT_VERDICT, main
 
 
 def run(capsys, *argv):
@@ -118,6 +124,20 @@ class TestSweep:
         assert code == EXIT_OK
         assert dest.read_text().startswith("b,N,")
 
+    def test_missed_roots_far_from_edge_stay_in_configured_precision(self, monkeypatch):
+        # the extended scan walks the same grid, so a short count is no reason
+        # to rerun it; only roots near +-1 are
+        calls = []
+
+        def short_scan(pot, cfg):
+            calls.append(cfg.precision_mode)
+            return [0.5] * (pot.b - 1)
+
+        monkeypatch.setattr(cli, "bound_state_scan", short_scan)
+        n, dist, precision, _ = cli._sweep_row(5, 2.0, cli.NumericConfig(), 1e-6)
+        assert calls == ["standard"]
+        assert (n, dist, precision) == (4, 0.5, "standard")
+
 
 class TestDesign:
     def test_b2(self, capsys):
@@ -166,3 +186,24 @@ class TestOracle:
     def test_bad_input(self, capsys):
         code, _, _ = run(capsys, "oracle", "not-a-potential")
         assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "[2]", "--no-timing"], ["sweep", "--bmax", "3"]],
+    ids=["analyze", "sweep"],
+)
+def test_closed_stdout_exits_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ)
+    src = str(Path(latticejost.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticejost.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == EXIT_PIPE

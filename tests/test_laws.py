@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from latticejost.core import NumericConfig, validate_potential
-from latticejost.jost import jost_coefficients
+from latticejost.jost import jost_coefficients, rouche_margin
 from latticejost.laws import (
     check_bound_state_bound,
     check_count_identity,
@@ -13,9 +14,11 @@ from latticejost.laws import (
     check_small_coefficient_criterion,
     evaluate_laws,
 )
+from latticejost.report import analyze
 from latticejost.spectrum import classify_zeros, find_zeros
 
 CFG = NumericConfig()
+EXT = NumericConfig.extended()
 
 
 def pipeline(values):
@@ -100,3 +103,52 @@ class TestEvaluateLaws:
             V, p, ledger = pipeline(list(vals))
             v = evaluate_laws(V, p, ledger, CFG)
             assert v.all_theorems_hold, list(vals)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls to fn through every latticejost module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("latticejost") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestOneAnalysisPerPotential:
+    @pytest.mark.parametrize("cfg", [CFG, EXT], ids=["std", "ext"])
+    def test_analyze_builds_each_polynomial_once(self, monkeypatch, cfg):
+        built = _count_calls(monkeypatch, jost_coefficients)
+        solved = _count_calls(monkeypatch, find_zeros)
+        V = validate_potential([1.3, -0.4, 2.2, 0.7])
+        assert analyze(V, cfg).verdicts.all_theorems_hold
+        # once for V and once for -V, whose zeros the sign-flip verdict mirrors
+        assert [args[0] for args in built] == [V, V.negated()]
+        assert len(solved) == 2
+
+    def test_edge_snapped_zero_still_mirrors(self):
+        # the ledger moves V's zero at 1 - 1e-5 to the edge +1; -V's mirrored
+        # zero is not moved, so the match must allow for the snap
+        cfg = NumericConfig(tau_edge=1e-4)
+        V = validate_potential([-1 / (1 - 1e-5)])
+        report = analyze(V, cfg)
+        assert report.ledger.mu_plus == 1
+        assert report.verdicts.sign_flip_symmetry
+
+    @pytest.mark.parametrize(
+        "cfg, bs", [(CFG, (1, 4, 8, 12, 16)), (EXT, (4, 8, 12))], ids=["std", "ext"]
+    )
+    def test_shared_path_agrees_with_standalone_checkers(self, cfg, bs):
+        rng = np.random.default_rng(11)
+        for b in bs:
+            for _ in range(6):
+                V = validate_potential(list(rng.uniform(-3, 3, b)))
+                p = jost_coefficients(V)
+                ledger = classify_zeros(find_zeros(p, cfg), cfg, V.b)
+                v = evaluate_laws(V, p, ledger, cfg)
+                assert v.sign_flip_symmetry == check_sign_flip_symmetry(V, cfg)
+                assert (v.rouche_certificate is not None) == (rouche_margin(V) > 0)
