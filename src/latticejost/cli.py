@@ -22,7 +22,7 @@ from .design import (
     shrink_to_no_bound,
 )
 from .errors import LatticeJostError
-from .jost import rouche_margin
+from .jost import JostPolynomial, _rouche_margin
 from .oracle import match_energies, oracle_bound_states
 from .report import analyze
 from .spectrum import bound_state_scan
@@ -71,6 +71,17 @@ def _parse_roots(raw: str) -> list[complex]:
     return [complex(tok.strip().replace("i", "j")) for tok in raw.split(",") if tok.strip()]
 
 
+_SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
+
+
+def _parse_signs(raw: str) -> list[int]:
+    tokens = [tok.strip() for tok in raw.split(",")]
+    bad = [tok for tok in tokens if tok not in _SIGNS]
+    if bad:
+        raise ValueError(f"sign pattern entries must be + or -, got {bad[0]!r}")
+    return [_SIGNS[tok] for tok in tokens]
+
+
 def cmd_analyze(args: argparse.Namespace, cfg: NumericConfig) -> int:
     try:
         pot = load_potential(args.potential)
@@ -101,10 +112,14 @@ def _sweep_row(b: int, amplitude: float, cfg: NumericConfig, edge_floor: float):
 
 def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
     if args.family != "alternating":
-        print(f"unknown family {args.family!r}", file=sys.stderr)
+        print(f"input error: unknown family {args.family!r}", file=sys.stderr)
         return EXIT_INPUT
     if args.bmax < 1:
-        print("--bmax must be at least 1", file=sys.stderr)
+        print("input error: --bmax must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    if not (math.isfinite(args.amplitude) and args.amplitude != 0):
+        print(f"input error: --amplitude must be finite and nonzero, got {args.amplitude}",
+              file=sys.stderr)
         return EXIT_INPUT
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -157,14 +172,14 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
                 "small_coeff_certificate": rep.verdicts.small_coeff_certificate,
             }
         elif args.mode == "amplify":
-            signs = [1 if s.strip() in ("+", "+1", "1") else -1 for s in args.signs.split(",")]
-            A, pot = amplify_to_full_bound(signs)
+            A, pot = amplify_to_full_bound(_parse_signs(args.signs))
             rep = analyze(pot, cfg)
+            p = JostPolynomial(coeffs=rep.jost_coefficients, b=rep.b)
             doc = {
                 "A": A,
                 "potential": list(pot.values),
                 "N": rep.ledger.N,
-                "rouche_margin": rouche_margin(pot),
+                "rouche_margin": _rouche_margin(pot, p),
             }
         elif args.mode == "extend":
             pot = load_potential(args.potential)
@@ -193,6 +208,10 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
 def cmd_oracle(args: argparse.Namespace, cfg: NumericConfig) -> int:
     try:
         pot = load_potential(args.potential)
+        if args.size <= pot.b:
+            raise ValueError(f"--size {args.size} must exceed the support {pot.b}")
+        if not 0 < args.margin < math.inf:
+            raise ValueError(f"--margin must be positive and finite, got {args.margin}")
     except (LatticeJostError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -116,6 +116,21 @@ def jost_coefficients(V: Potential) -> JostPolynomial:
     return JostPolynomial(coeffs=coeffs, b=V.b, exact=exact)
 
 
+def _mirrored(p: JostPolynomial) -> JostPolynomial:
+    """The polynomial of -V from V's: f0^{-V}(z) = f0^V(-z), so c_j -> (-1)^j c_j.
+
+    The floats are rounded from the negated exact values, so they equal
+    jost_coefficients(V.negated()) bit for bit (an exact zero stays 0.0).
+    """
+
+    def flip(cs):
+        return tuple(-c if j % 2 else c for j, c in enumerate(cs))
+
+    exact = flip(p.exact)
+    coeffs = tuple(float(c) for c in exact) if exact else flip(p.coeffs)
+    return JostPolynomial(coeffs=coeffs, b=p.b, exact=exact)
+
+
 def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:
     """Horner evaluation of the coefficient vector at z."""
     coeffs = p.coeffs if isinstance(p, JostPolynomial) else p

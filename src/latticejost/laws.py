@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NumericConfig, Potential
-from .jost import JostPolynomial, _rouche_margin, jost_coefficients
+from .jost import JostPolynomial, _mirrored, _rouche_margin, jost_coefficients
 from .spectrum import ZeroLedger, find_zeros
 
 __all__ = [
@@ -113,14 +113,15 @@ def _multiset_close(a: list[complex], b: list[complex], tol: float) -> bool:
     return True
 
 
-def _mirrors_negated(zeros: list[complex], V: Potential, cfg: NumericConfig) -> bool:
+def _mirrors_negated(zeros: list[complex], p: JostPolynomial, cfg: NumericConfig) -> bool:
     """Whether V's zeros (multiplicity-expanded) are the negated zeros of -V.
 
-    The -V polynomial is built from -V's own values, so the comparison also
-    tests the recursion and the root finder.  The ledger moves an edge zero
-    by up to tau_edge when it snaps it to +-1; the tolerance allows for that.
+    -V's polynomial is V's polynomial p with its odd coefficients negated,
+    by the parity f0^{-V}(z) = f0^V(-z); its zeros are found anew, so the
+    comparison tests the root finder.  The ledger moves an edge zero by up
+    to tau_edge when it snaps it to +-1; the tolerance allows for that.
     """
-    mirrored = find_zeros(jost_coefficients(V.negated()), cfg)
+    mirrored = find_zeros(_mirrored(p), cfg)
     negated = [-z for z, m in mirrored for _ in range(m)]
     return _multiset_close(zeros, negated, max(cfg.tau_cluster, 1e-10) + cfg.tau_edge)
 
@@ -128,10 +129,13 @@ def _mirrors_negated(zeros: list[complex], V: Potential, cfg: NumericConfig) -> 
 def check_sign_flip_symmetry(V: Potential, cfg: NumericConfig) -> bool:
     """Negating the potential negates the zero multiset of f0.
 
-    Follows from the coefficient parity f0^{-V}(z) = f0^V(-z).
+    Follows from the coefficient parity f0^{-V}(z) = f0^V(-z).  V's
+    polynomial is built once; -V's is derived from it by that parity, and
+    the zeros of both are found by :func:`find_zeros`.
     """
-    roots = find_zeros(jost_coefficients(V), cfg)
-    return _mirrors_negated([z for z, m in roots for _ in range(m)], V, cfg)
+    p = jost_coefficients(V)
+    roots = find_zeros(p, cfg)
+    return _mirrors_negated([z for z, m in roots for _ in range(m)], p, cfg)
 
 
 def evaluate_laws(
@@ -141,7 +145,8 @@ def evaluate_laws(
 
     The ledger must classify p's roots under cfg: V's zeros for the sign-flip
     verdict are taken from it, and the Rouche margin from p, so nothing of V
-    is rebuilt.  Only -V's polynomial and zeros are computed here.
+    is rebuilt.  -V's polynomial is p with its odd coefficients negated;
+    only -V's zeros are found here.
     """
     ok_minus, eps_minus, ok_plus, eps_plus = check_resonance_inequalities(ledger)
     rouche = (ledger.N == V.b) if _rouche_margin(V, p) > 0 else None
@@ -154,5 +159,5 @@ def evaluate_laws(
         eps_plus=eps_plus,
         small_coeff_certificate=check_small_coefficient_criterion(p, ledger),
         rouche_certificate=rouche,
-        sign_flip_symmetry=_mirrors_negated(ledger.all_roots_expanded(), V, cfg),
+        sign_flip_symmetry=_mirrors_negated(ledger.all_roots_expanded(), p, cfg),
     )

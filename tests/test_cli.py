@@ -9,6 +9,7 @@ import pytest
 import latticejost
 from latticejost import cli
 from latticejost.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPE, EXIT_VERDICT, main
+from latticejost.jost import jost_coefficients
 
 
 def run(capsys, *argv):
@@ -118,6 +119,14 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--bmax", "0")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("amplitude", ["0", "nan", "inf"])
+    def test_bad_amplitude_is_input_error(self, capsys, amplitude):
+        code, out, err = run(capsys, "sweep", "--bmax", "3", "--amplitude", amplitude)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
     def test_out_csv(self, tmp_path, capsys):
         dest = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, "sweep", "--bmax", "3", "--out", str(dest))
@@ -166,6 +175,22 @@ class TestDesign:
         assert doc["N"] == 2
         assert doc["rouche_margin"] > 0
 
+    def test_amplify_builds_three_polynomials(self, capsys, count_calls):
+        # two amplitudes tried by the search, then the report's; its margin
+        # and -V's polynomial come from that one
+        built = count_calls(jost_coefficients)
+        code, out, _ = run(capsys, "design", "amplify", "--signs", "+,-,+")
+        assert code == EXIT_OK
+        assert json.loads(out)["rouche_margin"] == 39.0
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("signs", ["+,0", "+,x"])
+    def test_amplify_rejects_bad_sign(self, capsys, signs):
+        code, out, err = run(capsys, "design", "amplify", "--signs", signs)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "sign pattern" in err
+
     def test_extend(self, capsys):
         code, out, _ = run(capsys, "design", "extend", "--potential", "[2]", "--b", "3")
         assert code == EXIT_OK
@@ -186,6 +211,15 @@ class TestOracle:
     def test_bad_input(self, capsys):
         code, _, _ = run(capsys, "oracle", "not-a-potential")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "flag", [["--size", "1"], ["--margin", "0"]], ids=["size", "margin"]
+    )
+    def test_bad_flag_is_input_error(self, capsys, flag):
+        code, out, err = run(capsys, "oracle", "[2]", *flag)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error:")
 
 
 @pytest.mark.parametrize(

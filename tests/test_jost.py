@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latticejost.core import Potential, validate_potential
 from latticejost.errors import ZeroArgumentError
 from latticejost.jost import (
+    _mirrored,
     fg_decompose,
     jost_coefficients,
     jost_eval,
@@ -82,6 +83,36 @@ class TestCoefficients:
     def test_exact_integer_coefficients(self):
         p = jost_coefficients(validate_potential([2.0, -2.0, 2.0]))
         assert all(isinstance(c, int) for c in p.exact)
+
+
+def _parity_panel():
+    rng = np.random.default_rng(23)
+    bs = (1, 2, 3, 5, 8, 13, 21, 34, 60)
+    panel = [pytest.param(list(rng.uniform(-3, 3, b)), id=f"random-b{b}") for b in bs]
+    extremes = {
+        "tiny-then-2": [1e-300, 2],
+        "huge-tiny-3": [1e300, 1e-300, 3],
+        "tenths": [0.1] * 30,
+        "twos-then-1": [2.0] * 30 + [1.0],
+        "zero-one": [0.0, 1.0],
+        "one-zero-minus-one": [1.0, 0.0, -1.0],
+    }
+    return panel + [pytest.param(v, id=name) for name, v in extremes.items()]
+
+
+@pytest.mark.parametrize("values", _parity_panel())
+def test_mirrored_equals_negated_build(values):
+    # the sign-flip verdict derives -V's polynomial from V's by parity; it must
+    # be exactly what the recursion builds from -V's own values
+    V = validate_potential(values)
+    got = _mirrored(jost_coefficients(V))
+    want = jost_coefficients(V.negated())
+    assert got.b == want.b
+    assert len(got.coeffs) == len(want.coeffs)
+    for a, c in zip(got.coeffs, want.coeffs):
+        assert a == c and math.copysign(1.0, a) == math.copysign(1.0, c)
+    assert got.exact == want.exact
+    assert [type(c) for c in got.exact] == [type(c) for c in want.exact]
 
 
 class TestEvaluation:
