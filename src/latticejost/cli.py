@@ -17,6 +17,7 @@ from .design import (
     alternating_potential,
     amplify_to_full_bound,
     choose_epsilon,
+    extend_with_epsilon,
     inverse_b2,
     inverse_b3,
     shrink_to_no_bound,
@@ -151,9 +152,7 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
                 "consistency_residual": res.consistency_residual,
             }
         elif args.mode == "b3":
-            roots = _parse_roots(args.roots)
-            guess = [float(x) for x in args.guess.split(",")]
-            res = inverse_b3(roots, guess)
+            res = inverse_b3(_parse_roots(args.roots))
             doc = {
                 "V1": res.V1,
                 "V2": res.V2,
@@ -183,17 +182,14 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
             }
         elif args.mode == "extend":
             pot = load_potential(args.potential)
-            if args.epsilon is not None:
-                from .design import extend_with_epsilon
-
-                ext = extend_with_epsilon(pot, args.b, args.epsilon)
-                eps = args.epsilon
+            if args.epsilon is None:
+                eps, rep = choose_epsilon(pot, args.b, cfg)
             else:
-                eps, ext = choose_epsilon(pot, args.b, cfg)
-            rep = analyze(ext, cfg)
+                eps = args.epsilon
+                rep = analyze(extend_with_epsilon(pot, args.b, eps), cfg)
             doc = {
                 "epsilon": eps,
-                "potential": list(ext.values),
+                "potential": list(rep.potential),
                 "N": rep.ledger.N,
             }
         else:  # pragma: no cover - argparse restricts choices
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_numeric_flags(de_b2)
     de_b3 = de_sub.add_parser("b3")
     de_b3.add_argument("--roots", required=True, help="four comma-separated roots")
-    de_b3.add_argument("--guess", required=True, help="V1,V2,V3,alpha5 starting point")
     _add_numeric_flags(de_b3)
     de_sh = de_sub.add_parser("shrink")
     de_sh.add_argument("--potential", required=True)
@@ -306,8 +301,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# flags whose value is a comma list that may start with a minus sign
+_LIST_FLAGS = ("--roots", "--signs")
+
+
+def _join_list_flags(argv: list[str]) -> list[str]:
+    """Rewrite ``--roots -0.5,...`` as ``--roots=-0.5,...``.
+
+    argparse takes a separate value that starts with '-' for an option and
+    stops with "expected one argument"; the joined form always parses.
+    """
+    out: list[str] = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _LIST_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_list_flags(argv))
     try:
         cfg = _config_from(args)
     except ValueError as exc:  # a tolerance NumericConfig rejects

@@ -4,25 +4,20 @@ Covers: the alternating family with full bound-state count, shrinking a
 potential until the small-coefficient no-bound-state certificate applies,
 amplifying a sign pattern until the unit-circle dominance certificate forces
 N = b, epsilon-extension of the support at fixed bound-state count, and the
-closed-form / Newton inverse problems for supports 2 and 3.
+closed-form inverse problems for supports 2 and 3.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from .core import NumericConfig, Potential, validate_potential
-from .errors import (
-    InconsistentRootsError,
-    NoConvergenceError,
-    SingularJacobianError,
-)
+from .errors import InconsistentRootsError, NoConvergenceError
 from .jost import jost_coefficients, jost_eval, rouche_margin
-from .spectrum import classify_zeros, find_zeros
+from .report import SpectralReport, analyze
 
 __all__ = [
     "InverseB2Result",
@@ -94,27 +89,22 @@ def extend_with_epsilon(V: Potential, b: int, epsilon: float) -> Potential:
     return Potential(V.values + (float(epsilon),) * (b - V.b))
 
 
-def _classified_n(V: Potential, cfg: NumericConfig) -> tuple[int, float, float]:
-    p = jost_coefficients(V)
-    ledger = classify_zeros(find_zeros(p, cfg), cfg, V.b)
-    return ledger.N, abs(jost_eval(p, 1.0)), abs(jost_eval(p, -1.0))
-
-
 def choose_epsilon(
     V: Potential, b: int, cfg: NumericConfig, start: float = 0.1
-) -> tuple[float, Potential]:
+) -> tuple[float, SpectralReport]:
     """Halve the tail value until the extension keeps the bound-state count.
 
     Also requires |f0(+-1)| to stay above tau_edge so that no zero sits on
-    the band edge (the genericity the continuity argument needs).
+    the band edge (the genericity the continuity argument needs).  Returns
+    the chosen epsilon with the extension's report.
     """
-    target_n = _classified_n(V, cfg)[0]
+    target_n = analyze(V, cfg).ledger.N
     eps = start
     while eps > 1e-15:
-        ext = extend_with_epsilon(V, b, eps)
-        n, f_plus, f_minus = _classified_n(ext, cfg)
-        if n == target_n and min(f_plus, f_minus) > cfg.tau_edge:
-            return eps, ext
+        rep = analyze(extend_with_epsilon(V, b, eps), cfg)
+        edge = min(abs(jost_eval(rep.jost_coefficients, z)) for z in (1.0, -1.0))
+        if rep.ledger.N == target_n and edge > cfg.tau_edge:
+            return eps, rep
         eps /= 2.0
     raise NoConvergenceError(
         f"no epsilon above the precision floor preserves N = {target_n}"
@@ -122,7 +112,16 @@ def choose_epsilon(
 
 
 # ---------------------------------------------------------------------------
-# inverse problem, support 2
+# inverse problems, supports 2 and 3
+
+
+def _elementary_symmetric(xs: Sequence[complex]) -> list[complex]:
+    """[e_0, e_1, ..., e_n] of xs, the coefficients of prod (1 + x t)."""
+    e = [complex(1)] + [complex(0)] * len(xs)
+    for n, x in enumerate(xs, 1):
+        for k in range(n, 0, -1):
+            e[k] += x * e[k - 1]
+    return e
 
 
 @dataclass(frozen=True)
@@ -150,30 +149,25 @@ def inverse_b2(roots: Sequence[complex]) -> InverseB2Result:
     """
     if len(roots) != 3:
         raise ValueError("exactly three roots are required")
-    a1, a2, a3 = (complex(z) for z in roots)
-    if a1 == 0 or a2 == 0 or a3 == 0:
+    alphas = [complex(z) for z in roots]
+    if any(z == 0 for z in alphas):
         raise InconsistentRootsError("z = 0 is never a Jost zero")
-    _check_conjugate_closed([a1, a2, a3])
+    _check_conjugate_closed(alphas)
 
-    v2c = -1.0 / (a1 * a2 * a3)
-    v1c = -(1.0 / a1 + 1.0 / a2 + 1.0 / a3) - v2c
+    w = _elementary_symmetric([1.0 / z for z in alphas])
+    v2c = -w[3]
+    v1c = -w[1] - v2c
     if max(abs(v1c.imag), abs(v2c.imag)) > 1e-8 * max(1.0, abs(v1c), abs(v2c)):
         raise InconsistentRootsError("recovered potential values are not real")
     V1, V2 = v1c.real, v2c.real
-    middle = abs(V1 * V2 - (1.0 / (a1 * a2) + 1.0 / (a1 * a3) + 1.0 / (a2 * a3)))
+    middle = abs(V1 * V2 - w[2])
     if middle > 1e-8:
         raise InconsistentRootsError(
             f"middle coefficient equation violated by {middle:.3e}"
         )
-    e1 = a1 + a2 + a3
-    e2 = a1 * a2 + a1 * a3 + a2 * a3
-    e3 = a1 * a2 * a3
-    residual = abs(e1 * e3 - e2 + 1.0)
+    e = _elementary_symmetric(alphas)
+    residual = abs(e[1] * e[3] - e[2] + 1.0)
     return InverseB2Result(V1=V1, V2=V2, consistency_residual=residual)
-
-
-# ---------------------------------------------------------------------------
-# inverse problem, support 3
 
 
 def _b3_equation_sides(
@@ -185,11 +179,7 @@ def _b3_equation_sides(
     roots; lhs_k is the corresponding polynomial in (V1, V2, V3).
     """
     v1, v2, v3 = V
-    w = [1.0 / complex(z) for z in roots]
-    e = [complex(0)] * 6
-    e[0] = 1.0
-    for k in range(1, 6):
-        e[k] = sum(np.prod(c) for c in combinations(w, k))
+    e = _elementary_symmetric([1.0 / complex(z) for z in roots])
     lhs = [
         v1 + v2 + v3,
         v1 * v2 + (v1 + v2) * v3,
@@ -222,76 +212,55 @@ class InverseB3Result:
     residuals: tuple[float, float, float, float, float]
 
 
-def inverse_b3(
-    alphas: Sequence[complex],
-    guess: Sequence[float],
-    max_iter: int = 100,
-    tol: float = 1e-12,
-) -> InverseB3Result:
-    """Solve for (V1, V2, V3, alpha5) given four of the five zeros.
+def inverse_b3(alphas: Sequence[complex]) -> InverseB3Result:
+    """Solve for (V1, V2, V3, alpha5) given four of the five zeros, in closed form.
 
-    Damped Newton on four of the coefficient-matching equations (the third
-    line is held out and reported as the consistency residual).  The guess
-    supplies (V1, V2, V3, alpha5).
+    In w = 1/alpha, let e'_k be the elementary symmetric functions of the
+    four known w; those of all five are e_k = e'_k + w5 e'_(k-1).
+    Coefficient lines 1, 4 and 5 eliminate the potential and leave
+
+        e'_4 (1 - e'_4) w5^2 + (e'_1 e'_4 - e'_3) w5 - e'_4 = 0.
+
+    Each root w5 then gives V3 = -w5 e'_4 (line 5), S = V1 + V2 = -e_1 - V3
+    (line 1), P = e_2 - S V3 (line 2), V2 = -e_3 - V3 (1 + P) (line 3) and
+    V1 = S - V2.  The five line residuals (as in :func:`verify_b3`) choose
+    between the two roots; line 2, P = V1 V2, is the one the construction
+    does not enforce.  InconsistentRootsError is raised when neither root
+    meets all five lines to 1e-8: no support-3 potential has these zeros.
     """
     if len(alphas) != 4:
         raise ValueError("exactly four known roots are required")
-    fixed = [complex(z) for z in alphas]
-    if any(z == 0 for z in fixed):
+    known = [complex(z) for z in alphas]
+    if any(z == 0 for z in known):
         raise InconsistentRootsError("z = 0 is never a Jost zero")
-    _check_conjugate_closed(fixed)
-    x = np.asarray(guess, dtype=float)
-    if x.shape != (4,):
-        raise ValueError("guess must supply (V1, V2, V3, alpha5)")
+    _check_conjugate_closed(known)
 
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        sides = _b3_equation_sides(x[:3], fixed + [complex(x[3])])
-        # hold out the middle (third) line as the consistency check
-        rows = [sides[0], sides[1], sides[3], sides[4]]
-        return np.array([(l - r).real for l, r in rows])
+    ep = [c.real for c in _elementary_symmetric([1.0 / z for z in known])]
+    a, b, c = ep[4] * (1.0 - ep[4]), ep[1] * ep[4] - ep[3], -ep[4]
+    s = cmath.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + math.copysign(1.0, b) * s)  # b and s never cancel
+    roots_w5 = ([c / q] if q else []) + ([q / a] if a else [])
 
-    fx = residual_vec(x)
-    for _ in range(max_iter):
-        norm = np.linalg.norm(fx)
-        if norm < tol:
-            break
-        jac = np.empty((4, 4))
-        for j in range(4):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            jac[:, j] = (residual_vec(xp) - residual_vec(xm)) / (2.0 * h)
-        try:
-            if np.linalg.cond(jac) > 1e14:
-                raise SingularJacobianError("Jacobian is numerically singular")
-            dx = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        # backtracking damping
-        t = 1.0
-        improved = False
-        for _ in range(25):
-            cand = x + t * dx
-            fc = residual_vec(cand)
-            if np.linalg.norm(fc) < norm:
-                x, fx = cand, fc
-                improved = True
-                break
-            t /= 2.0
-        if not improved:
-            break
-    else:
-        raise NoConvergenceError("Newton iteration cap reached")
-    if np.linalg.norm(fx) >= max(tol, 1e-9):
-        raise NoConvergenceError(
-            f"Newton stalled at residual norm {np.linalg.norm(fx):.3e}"
+    best_worst, best = math.inf, None
+    for w5 in (r.real for r in roots_w5 if r.real):  # w5 = 0 puts alpha5 at infinity
+        e1, e2, e3 = (ep[k] + w5 * ep[k - 1] for k in (1, 2, 3))
+        V3 = -w5 * ep[4]
+        S = -e1 - V3
+        P = e2 - S * V3
+        V2 = -e3 - V3 * (1.0 + P)
+        values = (S - V2, V2, V3)
+        roots = known + [complex(1.0 / w5)]
+        residuals = [abs(l - r) for l, r in _b3_equation_sides(values, roots)]
+        worst = math.inf if any(map(math.isnan, residuals)) else max(residuals)
+        if worst < best_worst:
+            best_worst, best = worst, (values, w5, residuals)
+    if not best_worst <= 1e-8:
+        raise InconsistentRootsError(
+            "no support-3 potential has these zeros: the best candidate "
+            f"violates a coefficient line by {best_worst:.3e}"
         )
-
-    V = validate_potential(x[:3])
-    all_roots = fixed + [complex(x[3])]
-    residuals = tuple(verify_b3(V, all_roots))
+    (V1, V2, V3), w5, residuals = best
+    validate_potential((V1, V2, V3))  # rejects V3 == 0, which is no support 3
     return InverseB3Result(
-        V1=x[0], V2=x[1], V3=x[2], alpha5=float(x[3]), residuals=residuals
+        V1=V1, V2=V2, V3=V3, alpha5=1.0 / w5, residuals=tuple(residuals)
     )

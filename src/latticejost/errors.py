@@ -37,9 +37,5 @@ class NoConvergenceError(LatticeJostError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
 
-class SingularJacobianError(LatticeJostError):
-    """Newton step hit a (numerically) singular Jacobian."""
-
-
 class FloatOverflowError(LatticeJostError):
     """A quantity overflowed or underflowed double precision."""

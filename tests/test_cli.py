@@ -156,6 +156,29 @@ class TestDesign:
         assert doc["V1"] == pytest.approx(-(5**0.5), abs=1e-9)
         assert doc["V2"] == pytest.approx(4.0 / 5**0.5, abs=1e-9)
 
+    def test_b2_roots_start_negative(self, capsys):
+        code, out, _ = run(capsys, "design", "b2", "--roots", "-0.5,0.5,2.23606797749979")
+        assert code == EXIT_OK
+        assert json.loads(out)["V1"] == pytest.approx(-(5**0.5), abs=1e-9)
+
+    def test_b3_roots_start_negative(self, capsys):
+        # four of the zeros of V = (0.5, -2, 1); the fifth is 2.6290240744301525
+        roots = (
+            "-0.774128440506231,-0.4074210027433532-0.9498886350516307i,"
+            "-0.4074210027433532+0.9498886350516307i,0.4599463715627848"
+        )
+        code, out, _ = run(capsys, "design", "b3", "--roots", roots)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [doc["V1"], doc["V2"], doc["V3"]] == pytest.approx([0.5, -2.0, 1.0], abs=1e-12)
+        assert doc["alpha5"] == pytest.approx(2.6290240744301525, abs=1e-12)
+
+    def test_b3_rejects_inconsistent(self, capsys):
+        code, out, err = run(capsys, "design", "b3", "--roots", "0.3,-0.6,2.0,-5.0")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("design error:")
+
     def test_b2_rejects_inconsistent(self, capsys):
         code, _, err = run(capsys, "design", "b2", "--roots", "0.3,0.6,5.0")
         assert code == EXIT_INPUT
@@ -174,6 +197,13 @@ class TestDesign:
         doc = json.loads(out)
         assert doc["N"] == 2
         assert doc["rouche_margin"] > 0
+
+    def test_amplify_signs_start_negative(self, capsys):
+        code, out, _ = run(capsys, "design", "amplify", "--signs", "-,+")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["potential"] == [-2.0, 2.0]
+        assert doc["N"] == 2
 
     def test_amplify_builds_three_polynomials(self, capsys, count_calls):
         # two amplitudes tried by the search, then the report's; its margin
@@ -197,6 +227,15 @@ class TestDesign:
         doc = json.loads(out)
         assert doc["N"] == 1
         assert len(doc["potential"]) == 3
+
+    def test_extend_builds_two_polynomials(self, capsys, count_calls):
+        # the given potential's, then the chosen extension's, whose report
+        # the command prints
+        built = count_calls(jost_coefficients)
+        code, out, _ = run(capsys, "design", "extend", "--potential", "[2]", "--b", "3")
+        assert code == EXIT_OK
+        assert json.loads(out)["N"] == 1
+        assert [args[0].b for args in built] == [1, 3]
 
 
 class TestOracle:

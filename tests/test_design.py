@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -88,10 +89,11 @@ class TestExtend:
     def test_choose_epsilon_preserves_count(self):
         V = validate_potential([2.0])
         n0 = classified_n(V)
-        eps, ext = choose_epsilon(V, 4, CFG)
+        eps, rep = choose_epsilon(V, 4, CFG)
         assert eps > 0
-        assert ext.b == 4
-        assert classified_n(ext) == n0
+        assert rep.potential == (2.0, eps, eps, eps)
+        assert rep.ledger.N == n0
+        assert classified_n(validate_potential(rep.potential)) == n0
 
 
 class TestInverseB2:
@@ -126,28 +128,47 @@ class TestInverseB2:
 
 class TestInverseB3:
     def test_round_trip(self):
-        V = validate_potential([1.5, -0.75, 2.25])
-        roots = [z for z, m in find_zeros(jost_coefficients(V), CFG) for _ in range(m)]
-        reals = sorted(z.real for z in roots if abs(z.imag) < 1e-9)
-        others = [z for z in roots if abs(z.imag) >= 1e-9]
-        known = [complex(r) for r in reals[:-1]] + others
-        known = known[:4]
-        guess = [1.4, -0.7, 2.3, reals[-1] * 1.05]
-        res = inverse_b3(known, guess)
-        assert res.V1 == pytest.approx(1.5, abs=1e-7)
-        assert res.V2 == pytest.approx(-0.75, abs=1e-7)
-        assert res.V3 == pytest.approx(2.25, abs=1e-7)
-        assert max(res.residuals) < 1e-7
+        # 300 seeded random potentials and a fixed one; each real zero is
+        # withheld in turn and recovered with the potential
+        rng = random.Random(9)
+        panel = [[1.5, -0.75, 2.25]] + [
+            [rng.uniform(-3, 3) for _ in range(3)] for _ in range(300)
+        ]
+        for values in panel:
+            roots = [
+                z
+                for z, m in find_zeros(jost_coefficients(validate_potential(values)), CFG)
+                for _ in range(m)
+            ]
+            for i, alpha5 in enumerate(roots):
+                if alpha5.imag != 0:
+                    continue
+                res = inverse_b3(roots[:i] + roots[i + 1 :])
+                got = (res.V1, res.V2, res.V3)
+                assert max(abs(g - v) for g, v in zip(got, values)) <= 1e-12, values
+                assert abs(res.alpha5 - alpha5.real) <= 1e-12 * max(1.0, abs(alpha5)), values
+                assert max(res.residuals) < 1e-10
 
     def test_verify_b3_residuals_vanish(self):
         V = validate_potential([1.5, -0.75, 2.25])
         roots = [z for z, m in find_zeros(jost_coefficients(V), CFG) for _ in range(m)]
         assert max(verify_b3(V, roots)) < 1e-9
 
-    def test_bad_guess_shape(self):
-        with pytest.raises(ValueError):
-            inverse_b3([0.5, -0.5, 2.0, 3.0], [1.0, 2.0])
+    def test_arbitrary_quadruple_rejected(self):
+        # no support-3 potential has these four zeros
+        with pytest.raises(InconsistentRootsError):
+            inverse_b3([0.3, -0.6, 2.0, -5.0])
+
+    def test_unpaired_complex_rejected(self):
+        with pytest.raises(InconsistentRootsError):
+            inverse_b3([0.5, 1 + 1j, 2.0, 3.0])
+
+    def test_underflowing_quadratic_rejected(self):
+        # the product of the four reciprocals underflows to 0, which would
+        # put the fifth zero at infinity
+        with pytest.raises(InconsistentRootsError):
+            inverse_b3([1e82, -1e82, 2e82, 3e82])
 
     def test_wrong_root_count(self):
         with pytest.raises(ValueError):
-            inverse_b3([0.5, -0.5, 2.0], [1.0, 2.0, 3.0, 4.0])
+            inverse_b3([0.5, -0.5, 2.0])
