@@ -2,9 +2,10 @@
 
 Builds the Jost polynomial of a compactly supported potential, classifies
 its zeros into bound states and resonances, computes Marchenko norming
-constants two independent ways, verifies the counting laws, constructs
-potential families with prescribed bound-state counts, and cross-checks
-everything against a truncated-matrix eigenvalue oracle.
+constants as inverse squared norms of the Jost solution, verifies the
+counting laws, constructs potential families with prescribed bound-state
+counts, and cross-checks everything against a truncated-matrix eigenvalue
+oracle.
 """
 
 from .core import (

@@ -22,7 +22,7 @@ from .design import (
     inverse_b3,
     shrink_to_no_bound,
 )
-from .errors import LatticeJostError
+from .errors import InconsistentRootsError, LatticeJostError, TrailingZeroError
 from .jost import JostPolynomial, _rouche_margin
 from .oracle import match_energies, oracle_bound_states
 from .report import analyze
@@ -194,9 +194,12 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
             }
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_INPUT
-    except (LatticeJostError, ValueError, OSError) as exc:
+    except (ValueError, OSError, TrailingZeroError, InconsistentRootsError) as exc:
         print(f"design error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except LatticeJostError as exc:
+        print(f"numerical diagnostic: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
     _emit(json.dumps(doc, indent=2), args)
     return EXIT_OK
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import NumericConfig, Potential, validate_potential
+from .core import NumericConfig, Potential
 from .errors import InconsistentRootsError, NoConvergenceError
 from .jost import jost_coefficients, jost_eval, rouche_margin
 from .report import SpectralReport, analyze
@@ -226,7 +226,8 @@ def inverse_b3(alphas: Sequence[complex]) -> InverseB3Result:
     V1 = S - V2.  The five line residuals (as in :func:`verify_b3`) choose
     between the two roots; line 2, P = V1 V2, is the one the construction
     does not enforce.  InconsistentRootsError is raised when neither root
-    meets all five lines to 1e-8: no support-3 potential has these zeros.
+    meets all five lines to 1e-8 (no support-3 potential has these zeros)
+    or when the chosen V3 underflows to 0.
     """
     if len(alphas) != 4:
         raise ValueError("exactly four known roots are required")
@@ -260,7 +261,8 @@ def inverse_b3(alphas: Sequence[complex]) -> InverseB3Result:
             f"violates a coefficient line by {best_worst:.3e}"
         )
     (V1, V2, V3), w5, residuals = best
-    validate_potential((V1, V2, V3))  # rejects V3 == 0, which is no support 3
+    if V3 == 0:
+        raise InconsistentRootsError(f"V3 = -w5 e'_4 underflows to 0 (e'_4 = {ep[4]!r})")
     return InverseB3Result(
         V1=V1, V2=V2, V3=V3, alpha5=1.0 / w5, residuals=tuple(residuals)
     )

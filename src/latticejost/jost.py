@@ -86,12 +86,14 @@ class JostPolynomial:
 
     ``exact`` carries the same coefficients as exact rationals (the
     recursion is integer-combinatorial in the potential values), used by
-    the extended-precision root path.
+    the extended-precision root path; ``values`` is the potential V_1..V_b
+    they were built from, which the norming constants' recursion needs.
     """
 
     coeffs: tuple[float, ...]
     b: int
     exact: tuple = ()
+    values: tuple[float, ...] = ()
 
     @property
     def degree(self) -> int:
@@ -113,7 +115,7 @@ def jost_coefficients(V: Potential) -> JostPolynomial:
         raise FloatOverflowError(
             f"Jost coefficients reach 2^{bits}, beyond double precision"
         ) from exc
-    return JostPolynomial(coeffs=coeffs, b=V.b, exact=exact)
+    return JostPolynomial(coeffs=coeffs, b=V.b, exact=exact, values=V.values)
 
 
 def _mirrored(p: JostPolynomial) -> JostPolynomial:
@@ -128,7 +130,8 @@ def _mirrored(p: JostPolynomial) -> JostPolynomial:
 
     exact = flip(p.exact)
     coeffs = tuple(float(c) for c in exact) if exact else flip(p.coeffs)
-    return JostPolynomial(coeffs=coeffs, b=p.b, exact=exact)
+    values = tuple(-v for v in p.values)
+    return JostPolynomial(coeffs=coeffs, b=p.b, exact=exact, values=values)
 
 
 def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:

@@ -68,8 +68,7 @@ class SpectralReport:
                     "k": bs.k,
                     "alpha": bs.alpha,
                     "lambda": bs.lam,
-                    "c2_product": bs.c2_product,
-                    "c2_residue": bs.c2_residue,
+                    "c2": bs.c2,
                 }
                 for bs in self.bound_states
             ],

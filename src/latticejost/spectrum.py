@@ -6,18 +6,19 @@ interval scheme: bound states in (-1,0) and (0,1), real resonances beyond
 +-1, exceptional zeros at +-1, and complex pairs outside the unit circle.
 
 In extended precision the roots are refined from the exact coefficients
-(Aberth in :func:`find_zeros`, Newton in the norming constants) by one
+(Aberth in :func:`find_zeros`, Newton for the bound-state energies) by one
 fixed-point kernel, :func:`_horner_fixed`: exact Python ints scaled by 2^F
 with F = ceil(dps log2 10) + 40 bits for a dps-digit refinement (more for
-roots tinier than 2^-40 or a leading coefficient below 1/2).  Only the
-norming constants' products and quotients, whose magnitudes span too wide a
-range for fixed point, are formed in mpmath.
+roots tinier than 2^-40 or a leading coefficient below 1/2).  The norming
+constants are the Jost solution's norm, one O(b) recursion in double
+arithmetic in either precision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -414,139 +415,112 @@ class BoundState:
     k: int
     alpha: float
     lam: float
-    c2_product: float
-    c2_residue: float
+    c2: float
 
 
-def _norming_products(alpha, k: int, reals: Sequence, cplx: Sequence):
-    """Numerator and denominator of the product formula for bound state k.
+def _norm_c2(values: Sequence[float], alpha: float) -> float:
+    """c^2 = 1 / sum_{n>=1} f_n(alpha)^2 for a bound state alpha in (-1, 1).
 
-    reals and cplx are the multiplicity-expanded real and nonreal roots, with
-    alpha = reals[k - 1].  num = prod_a (1 - alpha a) over every root;
-    den = prod (alpha - a) over every root but index k - 1.  Both start from
-    1 + 0j, so the same code runs in float and in mpmath.
+    The sum runs down the backward recursion, which grows the decaying Jost
+    solution and so is stable, on g_n = f_n / alpha^b from g_b = 1,
+    g_(b+1) = alpha; the sites past b add alpha^2 / (1 - alpha^2).  g is
+    divided by a power of two whenever it passes 2^256, and the sum, that
+    power and alpha^(2b) meet only as exact ints in one final rounding, so
+    neither the deep states' growth nor alpha^(2b) leaves double range on
+    its own.  Raises OverflowError when c^2 itself does.
     """
-    num = den = 1 + 0j
-    for j, a in enumerate([*reals, *cplx]):
-        num *= 1 - alpha * a
-        if j != k - 1:
-            den *= alpha - a
-    return num, den
+    b = len(values)
+    s = alpha + 1.0 / alpha
+    g_next, g_cur = alpha, 1.0
+    total = alpha * alpha / ((1.0 - alpha) * (1.0 + alpha))
+    shift = 0  # the true g are the stored ones times 2^shift
+    for v in values[:0:-1]:  # V_b .. V_2 take g_(n+1), g_n to g_(n-1)
+        total += g_cur * g_cur
+        g_next, g_cur = g_cur, (s + v) * g_cur - g_next
+        if abs(g_cur) > 2.0**256:
+            d = math.frexp(g_cur)[1]
+            g_next, g_cur = math.ldexp(g_next, -d), math.ldexp(g_cur, -d)
+            total = math.ldexp(total, -2 * d)
+            shift += d
+    total += g_cur * g_cur
+    if not math.isfinite(total):
+        raise OverflowError("the Jost solution leaves double range")
+    tn, td = total.as_integer_ratio()
+    an, ad = alpha.as_integer_ratio()
+    c2 = td * ad ** (2 * b) / ((tn * an ** (2 * b)) << (2 * shift))
+    if c2 < sys.float_info.min:
+        raise OverflowError("c^2 underflows")
+    return c2
 
 
-def _bound_state_std(ledger: ZeroLedger, p: JostPolynomial):
-    """k -> BoundState of :func:`norming_constants` in double arithmetic."""
-    reals = ledger.real_roots_expanded()
-    cplx = ledger.all_roots_expanded()[len(reals):]
+def _refined_lams(p: JostPolynomial, alphas: list[float], dps: int = 40) -> list[float]:
+    """lambda = 2 - alpha - 1/alpha at the zeros of p nearest alphas, to dps digits.
 
-    def state(k: int) -> BoundState:
-        alpha = reals[k - 1]
-        num, den = _norming_products(alpha, k, reals, cplx)
-        c2_product = (num / den).real / alpha ** (2 * ledger.b)
-        c2_residue = (
-            jost_eval(p, 1.0 / alpha) / (alpha * jost_eval_derivative(p, alpha))
-        ).real
-        return BoundState(k=k, alpha=alpha, lam=2.0 - alpha - 1.0 / alpha,
-                          c2_product=c2_product, c2_residue=c2_residue)
-
-    return state
-
-
-def _bound_state_mp(ledger: ZeroLedger, p: JostPolynomial, dps: int = 40):
-    """k -> BoundState of :func:`norming_constants` in multiprecision.
-
-    A bound state alpha can have a resonance near its reciprocal 1/alpha,
-    which makes the factor (1 - alpha * r) — and equally f0(1/alpha) —
-    cancel catastrophically in double arithmetic.  Every root is therefore
-    re-polished from the exact coefficients by Newton steps (times its
-    multiplicity) in the fixed-point kernel of :func:`_aberth`, roots scaled
-    by 2^F with F = ceil(dps log2 10) + 40 (see :func:`_fixed_scales`),
-    which also evaluates f0(1/alpha) and f0'(alpha).  The products,
-    alpha^(2b) and the residue quotient are formed in mpmath at dps digits:
-    their magnitudes span too wide a range for fixed point.  Each
-    fixed-point value enters mpmath exactly as mpf((man, -F)), rounded to
-    dps digits.
+    A double alpha is off by up to half an ulp, and 2 - alpha - 1/alpha
+    cancels near alpha = 1: there lambda would lose up to 1e3 ulps.  Each
+    alpha is refined by Newton steps on the exact coefficients in the
+    fixed-point kernel of :func:`_aberth` until a step is below
+    10^-(dps-5), and lambda = -(alpha - 1)^2 / alpha is rounded once from
+    the ints.
     """
-    from mpmath import mp, mpc, mpf
-
     exact = p.exact if p.exact else p.coeffs
-    F, C = _fixed_scales(exact, [cz.z for cz in ledger.zeros], dps)
+    F, C = _fixed_scales(exact, alphas, dps)
     desc = [_fixed(c, C) for c in reversed(exact)]
-    step_scale = 10 ** (2 * (dps - 5))  # |step| < 10^-(dps-5), squared
     one = 1 << F
-
-    def polish(z: complex, mult: int) -> tuple[int, int]:
-        wr, wi = _fixed(z.real, F), _fixed(z.imag, F)
+    lams = []
+    for alpha in alphas:
+        a = _fixed(alpha, F)
         for _ in range(10):
-            pr, pi, dr, di = _horner_fixed(desc, wr, wi, F)
-            if dr == 0 and di == 0:
+            pr, _, dr, _ = _horner_fixed(desc, a, 0, F)
+            step = (pr << F) // dr if dr else 0
+            a -= step
+            if abs(step) * 10 ** (dps - 5) < one:
                 break
-            sr, si = _fixed_div(mult * pr, mult * pi, dr, di, F)
-            wr, wi = wr - sr, wi - si
-            if (sr * sr + si * si) * step_scale < one * one:
-                break
-        return wr, wi
-
-    reals_fx: list[int] = []
-    cplx_fx: list[tuple[int, int]] = []
-    for cz in ledger.zeros:
-        wr, wi = polish(cz.z, cz.multiplicity)
-        if cz.kind == COMPLEX_PAIR:
-            cplx_fx.extend([(wr, wi)] * cz.multiplicity)
-        else:
-            reals_fx.extend([wr] * cz.multiplicity)
-    reals_fx.sort()
-
-    with mp.workdps(dps):
-        reals = [mpf((r, -F)) for r in reals_fx]
-        cplx = [mpc(mpf((r, -F)), mpf((i, -F))) for r, i in cplx_fx]
-
-    def state(k: int) -> BoundState:
-        with mp.workdps(dps):
-            alpha = reals[k - 1]
-            num, den = _norming_products(alpha, k, reals, cplx)
-            c2_product = (num / den).real / alpha ** (2 * ledger.b)
-            inv_alpha, _ = _fixed_div(one, 0, reals_fx[k - 1], 0, F)
-            f_inv = _horner_fixed(desc, inv_alpha, 0, F)[0]
-            df_alpha = _horner_fixed(desc, reals_fx[k - 1], 0, F)[2]
-            c2_residue = mpf((f_inv, -C)) / (alpha * mpf((df_alpha, -C)))
-            return BoundState(k=k, alpha=float(alpha), lam=float(2 - alpha - 1 / alpha),
-                              c2_product=float(c2_product),
-                              c2_residue=float(c2_residue))
-
-    return state
+        lams.append(-((a - one) ** 2) / (a * one))
+    return lams
 
 
 def norming_constants(
     ledger: ZeroLedger, p: JostPolynomial, cfg: NumericConfig | None = None
 ) -> list[BoundState]:
-    """Marchenko norming constants via two independent formulas.
+    """Marchenko norming constants c^2 = 1 / sum_{n>=1} f_n(alpha)^2.
 
-    Product route: c^2 = alpha^(-2b) prod_s (1 - alpha alpha_s) /
-    prod_{j != k} (alpha - alpha_j) over the multiplicity-expanded root
-    list (:func:`_norming_products`).  Residue route:
-    c^2 = f0(1/alpha) / (alpha f0'(alpha)).
+    The norm of the Jost solution at each bound-state zero alpha (Teschl,
+    Jacobi Operators and Completely Integrable Nonlinear Lattices, AMS
+    2000), in O(b) double arithmetic by :func:`_norm_c2`; it needs no other
+    root and is positive by construction.  Both precisions run it at the
+    ledger's alpha, which an extended-precision config has from the
+    40-digit Aberth refinement of :func:`find_zeros`; that config also
+    gives lambda at 40 digits (:func:`_refined_lams`).  p must carry the
+    potential's values, as :func:`jost_coefficients` builds it.
 
-    With an extended-precision config both formulas are evaluated in
-    multiprecision, which survives the near-reciprocal bound-state /
-    resonance configuration that defeats double arithmetic: the roots are
-    re-polished and f0(1/alpha), f0'(alpha) evaluated in the fixed-point
-    kernel (F = 173 bits for 40 digits), the products and quotients formed
-    in mpmath at 40 digits (see :func:`_bound_state_mp`).  In either
-    precision a quotient that divides by zero (two roots that coincide at
-    the working precision) raises FloatOverflowError.
+    A bound state of multiplicity above 1 (two zeros that coincide at the
+    working precision) or a c^2 outside double range raises
+    FloatOverflowError naming that precision.
     """
+    if len(p.values) != ledger.b:
+        raise ValueError("norming constants need the potential values in p.values")
     ext = cfg is not None and cfg.is_extended
-    state = _bound_state_mp(ledger, p) if ext else _bound_state_std(ledger, p)
+    precision = "40-digit" if ext else "double"
+    roots = ledger.bound_state_roots()
+    alphas = [alpha for _, alpha in roots]
+    for k, alpha in roots:
+        if alphas.count(alpha) > 1:
+            raise FloatOverflowError(
+                f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
+                f"its norming constant leaves {precision} precision"
+            )
+    lams = _refined_lams(p, alphas) if ext else [2.0 - a - 1.0 / a for a in alphas]
     out = []
-    for k, alpha in ledger.bound_state_roots():
+    for (k, alpha), lam in zip(roots, lams):
         try:
-            out.append(state(k))
-        except ZeroDivisionError as exc:
+            c2 = _norm_c2(p.values, alpha)
+        except OverflowError as exc:
             raise FloatOverflowError(
                 f"norming constant of bound state k={k} at alpha={alpha!r} "
-                f"leaves {'40-digit' if ext else 'double'} precision"
+                f"leaves {precision} precision"
             ) from exc
+        out.append(BoundState(k=k, alpha=alpha, lam=lam, c2=c2))
     return out
 
 
@@ -597,7 +571,10 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
         pp = 1.0
         for j in range(r_, s_):
             pp *= 1.0 - reals[j] * alpha
-        _, den = _norming_products(alpha, k, reals, cplx)
+        den = 1 + 0j
+        for j, a in enumerate([*reals, *cplx]):
+            if j != k - 1:
+                den *= alpha - a
         parity = 1 if (k - 1) % 2 == 0 else -1
         s_pm = 1 if pm > 0 else -1
         s_pp = 1 if pp > 0 else -1

@@ -210,36 +210,30 @@ def test_random_potential_invariants():
     _verdict("random potential invariants", failures, "1000 potentials, b <= 12")
 
 
-def test_norming_constant_cross_check():
-    """Product and residue formulas agree to 1e-8 on 500 well-separated draws."""
+def test_norming_constant_cross_check(eigenvector_c2):
+    """c^2 matches the truncation's eigenvectors to 1e-8 on 500 extended draws."""
     rng = np.random.default_rng(SEED)
     ext = NumericConfig.extended()
     failures = []
     worst = 0.0
-    accepted = 0
-    while accepted < 500:
+    for _ in range(500):
         values = _random_potential(rng, 8)
         ledger, p, _ = _ledger(values, ext)
-        roots = ledger.all_roots_expanded()
-        sep = min(
-            (abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]),
-            default=1.0,
-        )
-        if sep <= 1e-4:
-            continue
-        accepted += 1
         for bs in norming_constants(ledger, p, ext):
-            if not (bs.c2_product > 0 and bs.c2_residue > 0):
-                failures.append(f"{values}: nonpositive c2 at {bs.alpha}")
+            if not 0 < bs.c2 < math.inf:
+                failures.append(f"{values}: c2 = {bs.c2} at {bs.alpha}")
                 continue
-            rel = abs(bs.c2_product - bs.c2_residue) / abs(bs.c2_residue)
+            if abs(bs.alpha) > 0.97:
+                continue
+            ref = eigenvector_c2(values, bs.lam, bs.alpha)
+            rel = abs(bs.c2 - ref) / ref
             worst = max(worst, rel)
             if rel >= 1e-8:
                 failures.append(f"{values}: rel diff {rel:.2e} at {bs.alpha}")
     ledger, p, _ = _ledger([2.0])
     (bs,) = norming_constants(ledger, p)
-    if abs(bs.c2_product - 3.0) > 1e-12 or abs(bs.c2_residue - 3.0) > 1e-12:
-        failures.append(f"hand value: {bs.c2_product}, {bs.c2_residue} vs 3")
+    if abs(bs.c2 - 3.0) > 1e-12:
+        failures.append(f"hand value: {bs.c2} vs 3")
     _verdict("norming constant cross-check", failures, f"worst rel diff {worst:.2e}")
 
 

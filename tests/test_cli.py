@@ -26,7 +26,7 @@ class TestAnalyze:
         assert doc["b"] == 1
         assert doc["counts"]["N"] == 1
         assert doc["zeros"][0]["re"] == pytest.approx(-0.5, abs=1e-12)
-        assert doc["bound_states"][0]["c2_product"] == pytest.approx(3.0, abs=1e-10)
+        assert doc["bound_states"][0]["c2"] == pytest.approx(3.0, abs=1e-10)
         assert doc["verdicts"]["count_identity"] is True
 
     def test_no_timing_is_deterministic(self, capsys):
@@ -178,6 +178,31 @@ class TestDesign:
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("design error:")
+
+    def test_b3_rejects_underflowing_v3(self, capsys):
+        code, out, err = run(capsys, "design", "b3", "--roots", "1e80,-1e80,2e80,3e80")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("design error:") and "underflows" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["shrink", "--potential", "[1, 0]"], ["b2", "--roots", "0.5,x,2"]],
+        ids=["trailing-zero", "bad-root"],
+    )
+    def test_input_rejection_is_design_error(self, capsys, argv):
+        code, out, err = run(capsys, "design", *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("design error:")
+
+    def test_numerical_failure_is_diagnostic(self, capsys):
+        # the coefficients of the shrunk potential still leave double range
+        code, out, err = run(capsys, "design", "shrink", "--potential", "[1e200,1e200]")
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err.startswith("numerical diagnostic:")
+        assert "double precision" in err
 
     def test_b2_rejects_inconsistent(self, capsys):
         code, _, err = run(capsys, "design", "b2", "--roots", "0.3,0.6,5.0")

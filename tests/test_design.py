@@ -169,6 +169,11 @@ class TestInverseB3:
         with pytest.raises(InconsistentRootsError):
             inverse_b3([1e82, -1e82, 2e82, 3e82])
 
+    def test_underflowing_v3_rejected(self):
+        # the residual gate passes, but V3 = -w5 e'_4 underflows to 0
+        with pytest.raises(InconsistentRootsError, match="V3 .* underflows"):
+            inverse_b3([1e80, -1e80, 2e80, 3e80])
+
     def test_wrong_root_count(self):
         with pytest.raises(ValueError):
             inverse_b3([0.5, -0.5, 2.0])

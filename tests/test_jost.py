@@ -113,6 +113,7 @@ def test_mirrored_equals_negated_build(values):
         assert a == c and math.copysign(1.0, a) == math.copysign(1.0, c)
     assert got.exact == want.exact
     assert [type(c) for c in got.exact] == [type(c) for c in want.exact]
+    assert got.values == want.values
 
 
 class TestEvaluation:

@@ -10,8 +10,10 @@ from latticejost.errors import (
     NotABoundStateError,
     UnitCircleViolationError,
 )
-from latticejost.jost import JostPolynomial, jost_coefficients
+from latticejost.design import alternating_potential
+from latticejost.jost import JostPolynomial, jost_coefficients, jost_eval_recursive_pair
 from latticejost.spectrum import (
+    _norm_c2,
     bound_state_scan,
     classify_zeros,
     find_zeros,
@@ -197,50 +199,146 @@ class TestClassify:
             assert ledger.s % 2 == 1
 
 
+@pytest.fixture(scope="module")
+def rng5_panel():
+    """(values, std states, ext states) for 20 draws at each b in {12, 16, 20}."""
+    rng = np.random.default_rng(5)
+    ext = NumericConfig.extended()
+    panel = []
+    for b in (12, 16, 20):
+        for _ in range(20):
+            values = list(rng.uniform(-3, 3, b))
+            std_states = norming_constants(*ledger_for(values))
+            ext_ledger, ext_p = ledger_for(values, ext)
+            panel.append((values, std_states, norming_constants(ext_ledger, ext_p, ext)))
+    return panel
+
+
 class TestNormingConstants:
     def test_hand_value_b1(self):
         ledger, p = ledger_for([2.0])
         (bs,) = norming_constants(ledger, p)
         assert bs.alpha == pytest.approx(-0.5, abs=1e-14)
         assert bs.lam == pytest.approx(4.5, abs=1e-13)
-        assert bs.c2_product == pytest.approx(3.0, abs=1e-12)
-        assert bs.c2_residue == pytest.approx(3.0, abs=1e-12)
+        assert bs.c2 == pytest.approx(3.0, abs=1e-12)
 
     def test_trivial_empty(self):
         ledger, p = ledger_for([])
         assert norming_constants(ledger, p) == []
 
-    def test_cross_formula_agreement(self):
+    def test_cross_formula_agreement(self, eigenvector_c2):
         ledger, p = ledger_for(EX42_POTENTIAL)
         states = norming_constants(ledger, p)
         assert len(states) == 2
         for bs in states:
-            assert bs.c2_product > 0
-            assert bs.c2_residue > 0
-            assert bs.c2_product == pytest.approx(bs.c2_residue, rel=1e-10)
+            assert bs.c2 > 0
+            assert bs.c2 == pytest.approx(
+                eigenvector_c2(EX42_POTENTIAL, bs.lam, bs.alpha), rel=1e-10
+            )
 
     @pytest.mark.parametrize(
         "values",
         [EX42_POTENTIAL, list(np.random.default_rng(20).uniform(-3, 3, 20))],
         ids=["b2", "b20"],
     )
-    def test_extended_cross_formula_agreement(self, values):
+    def test_extended_cross_formula_agreement(self, values, eigenvector_c2):
         cfg = NumericConfig.extended()
         ledger, p = ledger_for(values, cfg)
         states = norming_constants(ledger, p, cfg)
         assert len(states) == ledger.N > 0
         for bs in states:
-            assert bs.c2_product > 0
-            assert bs.c2_product == pytest.approx(bs.c2_residue, rel=1e-10)
+            assert bs.c2 > 0
+            if abs(bs.alpha) <= 0.97:
+                assert bs.c2 == pytest.approx(
+                    eigenvector_c2(values, bs.lam, bs.alpha), rel=1e-10
+                )
 
-    @pytest.mark.parametrize("values", [[1e40, 1e40], [1e20, -1e20, 1e20]])
-    def test_extended_coincident_roots_are_typed(self, values):
-        # two polished roots coincide at 40 digits: the product quotient
-        # divides by zero, which must surface as a typed error
-        cfg = NumericConfig.extended()
+    def test_std_matches_extended(self, rng5_panel):
+        for values, std_states, ext_states in rng5_panel:
+            assert [bs.k for bs in std_states] == [bs.k for bs in ext_states], values
+            for s, e in zip(std_states, ext_states):
+                assert s.c2 == pytest.approx(e.c2, rel=1e-6), values
+
+    def test_c2_finite_and_positive(self, rng5_panel):
+        for values, std_states, ext_states in rng5_panel:
+            for bs in std_states + ext_states:
+                assert 0 < bs.c2 < math.inf, values
+
+    def test_matches_truncation_eigenvectors(self, rng5_panel, eigenvector_c2):
+        # at the 40-digit alpha; the std alpha's own error is the 1e-6 above
+        checked = 0
+        for values, _, ext_states in rng5_panel:
+            for bs in ext_states:
+                if abs(bs.alpha) <= 0.97:
+                    checked += 1
+                    assert bs.c2 == pytest.approx(
+                        eigenvector_c2(values, bs.lam, bs.alpha), rel=1e-10
+                    ), values
+        assert checked > 400
+
+    def test_extended_lambda_at_40_digits(self, rng5_panel):
+        # 2 - alpha - 1/alpha at the double alpha cancels near alpha = 1; the
+        # reference polishes alpha by mp Newton steps on the recursion
+        from mpmath import mp, mpf
+
+        for values, _, ext_states in rng5_panel:
+            with mp.workdps(60):
+                mpv = [mpf(v) for v in values]
+                for bs in ext_states:
+                    a = mpf(bs.alpha)
+                    for _ in range(4):
+                        f, df = jost_eval_recursive_pair(mpv, a)
+                        a -= f / df
+                    ref = float(2 - a - 1 / a)
+                    assert abs(bs.lam - ref) <= math.ulp(ref), values
+
+    @pytest.mark.parametrize("alpha", [0.1, -0.3, 1e-3])
+    def test_norm_survives_deep_growth(self, alpha):
+        # alternating amplitude 50 at b=110: the recursion grows past 2^256
+        # (past double range at alpha = 1e-3) and alpha^(2b) underflows
+        from mpmath import mp, mpf
+
+        values = alternating_potential(110, 50.0).values
+        with mp.workdps(80):
+            a = mpf(alpha)
+            s = a + 1 / a
+            f_next, f = a**111, a**110
+            total = a**222 / (1 - a * a)
+            for v in values[:0:-1]:
+                total += f * f
+                f_next, f = f, (s + v) * f - f_next
+            ref = float(1 / (total + f * f))
+        assert _norm_c2(values, alpha) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "values, cfg, precision",
+        [
+            pytest.param([1e40, 1e40], NumericConfig.extended(), "40-digit", id="values0"),
+            pytest.param([1e20, -1e20, 1e20], NumericConfig.extended(), "40-digit",
+                         id="values1"),
+            pytest.param([1e40, 1e40], CFG, "double", id="std-values0"),
+            pytest.param([1e20, -1e20, 1e20], CFG, "double", id="std-values1"),
+        ],
+    )
+    def test_extended_coincident_roots_are_typed(self, values, cfg, precision):
+        # two zeros coincide at the working precision: the bound state is a
+        # cluster of multiplicity > 1, which must surface as a typed error
         ledger, p = ledger_for(values, cfg)
+        with pytest.raises(FloatOverflowError, match=f"{precision} precision"):
+            norming_constants(ledger, p, cfg)
+
+    def test_extended_overflow_is_typed(self):
+        # alpha = -1e-200 gives c^2 = 1e400
+        cfg = NumericConfig.extended()
+        ledger, p = ledger_for([1e200], cfg)
         with pytest.raises(FloatOverflowError, match="40-digit precision"):
             norming_constants(ledger, p, cfg)
+
+    def test_needs_potential_values(self):
+        ledger, p = ledger_for(EX42_POTENTIAL)
+        bare = JostPolynomial(coeffs=p.coeffs, b=p.b)
+        with pytest.raises(ValueError, match="p.values"):
+            norming_constants(ledger, bare)
 
     def test_not_a_bound_state(self):
         ledger, p = ledger_for(EX42_POTENTIAL)
