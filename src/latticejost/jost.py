@@ -11,7 +11,7 @@ Two evaluation routes are provided on purpose:
   catastrophic cancellation for large b where coefficients span many
   orders of magnitude;
 * direct recursion evaluation, which stays well conditioned on and inside
-  the unit circle and is the workhorse for large-b scans.  One evaluator,
+  the unit circle at any support length.  One evaluator,
   :func:`jost_eval_recursive`, serves float, complex and mpf points and
   float arrays alike; :func:`jost_eval_recursive_pair` adds f0'.
 """
@@ -173,36 +173,19 @@ def jost_solution(V: Potential, z: complex) -> list[complex]:
     return out
 
 
-def _power(x, n: int):
-    """x**n for an integer n >= 1 by repeated squaring, in the arithmetic of x.
-
-    numpy raises a float array to an integer power through the general pow
-    of every element, which costs far more than these few multiplications
-    on a scan grid of thousands of points.
-    """
-    out = None
-    while True:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if not n:
-            return out
-        x = x * x
-
-
 def jost_eval_recursive(values: Sequence, z):
     """f0(z) by direct recursion, elementwise for an array of nonzero points.
 
     Generic over float, complex, mpf and float arrays: the recursion starts
-    from f_b = z^b (repeated squaring) and f_(b+1) = f_b z in the arithmetic
-    of z.  Well conditioned for |z| <= 1 even when the coefficient vector is
-    not; this is what large-b sign scans must use.
+    from f_b = z^b and f_(b+1) = f_b z in the arithmetic of z.  Well
+    conditioned for |z| <= 1 even when the coefficient vector is not, so it
+    evaluates f0 at large b, where Horner on the rounded coefficients cannot.
     """
     b = len(values)
     if b == 0:
         return z / z  # one, in the arithmetic of z
     s = z + 1 / z
-    f_cur = _power(z, b)
+    f_cur = z**b
     f_next = f_cur * z
     for n in range(b, 0, -1):
         f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
@@ -218,7 +201,7 @@ def jost_eval_recursive_pair(values: Sequence, z):
     zi = 1 / z
     s = z + zi
     ds = one - zi * zi
-    f_cur = _power(z, b)
+    f_cur = z**b
     f_next = f_cur * z
     d_next = (b + 1) * f_cur
     d_cur = b * f_cur / z

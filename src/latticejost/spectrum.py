@@ -12,6 +12,9 @@ with F = ceil(dps log2 10) + 40 bits for a dps-digit refinement (more for
 roots tinier than 2^-40 or a leading coefficient below 1/2).  The norming
 constants are the Jost solution's norm, one O(b) recursion in double
 arithmetic in either precision.
+
+The large-support scan counts the bound states by the operator's pivots and
+multisects on that count, so it needs no coefficients.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     CountMismatchError,
     DegenerateDegreeError,
     FloatOverflowError,
+    NoConvergenceError,
     NotABoundStateError,
     UnitCircleViolationError,
 )
@@ -510,7 +514,7 @@ def norming_constants(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"
             )
-    lams = _refined_lams(p, alphas) if ext else [2.0 - a - 1.0 / a for a in alphas]
+    lams = _refined_lams(p, alphas) if ext else [-((1.0 - a) ** 2) / a for a in alphas]
     out = []
     for (k, alpha), lam in zip(roots, lams):
         try:
@@ -599,54 +603,34 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
 # large-b bound-state scan
 
 
-_GEO_EDGE = np.concatenate([1.0 - np.logspace(-12, -0.3, 240), [1.0 - 1e-13]])
-_XTOL = 1e-15
-_RTOL = 4 * np.finfo(float).eps
-_REFINE_MAXIT = 256  # bisection at least every fourth pass halves 2 to 1e-15 in 204
+_CUTS = 512  # points per multisection pass, shared by the live brackets
 _MP_DPS = 40
 _MP_STOP = 10.0**-38  # simplified Newton stops once |dz| <= _MP_STOP |z|
 _MP_SIMPLIFIED_STEPS = 4
 _MP_NEWTON_STEPS = 5
 
 
-def _refine_brackets(values, a, c, fa, fc) -> np.ndarray:
-    """Roots of f0 in the sign brackets [a, c], all refined at once.
+def _sturm_counts(values: np.ndarray, x: np.ndarray, sign: np.ndarray):
+    """States of sign * V with alpha in (0, x) at each x in (0, 1], and d_b - x.
 
-    Safeguarded Illinois regula falsi: every pass evaluates f0 by the
-    vectorized recursion at one new point per bracket and keeps the sign
-    change.  Illinois halves the stored value of an end retained twice in a
-    row.  The new point keeps half a tolerance from both ends, so an end
-    that has converged pulls the other one in (as in Brent's method); a
-    bracket that has not halved in three passes bisects.  A bracket is done,
-    and no longer changes, once its width is below _XTOL + _RTOL |x|, the
-    tolerance of scipy's brentq with xtol = _XTOL; its midpoint is returned.
+    The states below lambda(x) = 2 - x - 1/x are the negative pivots of
+    H - lambda(x) on sites 1..b, d_n = x + 1/x + V_n - 1/d_(n-1) from
+    d_0 = inf (a zero pivot makes the next one -inf), plus one when
+    0 <= d_b < x, as past the support the pivots then fall through one
+    negative value (Teschl, Jacobi Operators and Completely Integrable
+    Nonlinear Lattices, AMS 2000).  So site b adds one state exactly when
+    d_b - x = 1/x + V_b - 1/d_(b-1) < 0, the last row here.  The states of
+    V above the band are those of -V below it at alpha -> -alpha, so sign
+    (+1 or -1 per point) serves V and -V in one pass.
     """
-    kept = np.zeros(len(a), dtype=int)  # end retained last pass: -1 a, 1 c
-    ref_width = c - a  # width when the bracket last halved
-    stalled = np.zeros(len(a), dtype=int)  # passes since then
-    for _ in range(_REFINE_MAXIT):
-        width = c - a
-        tol = _XTOL + 0.5 * _RTOL * np.abs(a + c)
-        live = width >= tol
-        if not live.any():
-            break
-        x = c - fc * width / (fc - fa)
-        x = np.where((x >= a) & (x <= c) & (stalled < 3), x, 0.5 * (a + c))
-        x = np.clip(x, a + 0.5 * tol, c - 0.5 * tol)
-        fx = jost_eval_recursive(values, x)
-        move_a = live & (np.sign(fx) == np.sign(fa))
-        move_c = live & ~move_a
-        # Illinois: an end kept for a second pass has its value halved
-        fa = np.where(move_a, fx, np.where(move_c & (kept == -1), 0.5 * fa, fa))
-        fc = np.where(move_c, fx, np.where(move_a & (kept == 1), 0.5 * fc, fc))
-        a = np.where(move_a, x, a)
-        c = np.where(move_c, x, c)
-        kept = np.where(move_a, 1, -1)
-        width = c - a
-        halved = width <= 0.5 * ref_width
-        ref_width = np.where(halved, width, ref_width)
-        stalled = np.where(halved, 0, stalled + 1)
-    return 0.5 * (a + c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / x
+        d = sign * values[:, None] + (x + inv)
+        d[-1] -= x
+        for n in range(1, len(values)):
+            np.divide(1.0, d[n - 1], out=inv)
+            np.subtract(d[n], inv, out=d[n])
+    return (d < 0).sum(axis=0), d[-1]
 
 
 def _polish_mp(values, roots, slopes) -> list:
@@ -656,8 +640,9 @@ def _polish_mp(values, roots, slopes) -> list:
     slope the float derivative at the float root r, until
     |dz| <= _MP_STOP |z|.  Each step needs f0 alone, and from a float root
     each gains about as many digits as the slope carries.  A root not
-    converged within _MP_SIMPLIFIED_STEPS steps (or with a zero slope) goes
-    on with _MP_NEWTON_STEPS full Newton steps on (f0, f0') in mp.
+    converged within _MP_SIMPLIFIED_STEPS steps (or with a zero or
+    nonfinite slope) goes on with full Newton steps on (f0, f0') in mp; one
+    that has not converged within _MP_NEWTON_STEPS of those comes back nan.
     """
     from mpmath import mp, mpf
 
@@ -666,7 +651,7 @@ def _polish_mp(values, roots, slopes) -> list:
         refined = []
         for r0, slope in zip(roots, slopes):
             z, d0 = mpf(r0), mpf(slope)
-            for _ in range(_MP_SIMPLIFIED_STEPS if d0 else 0):
+            for _ in range(_MP_SIMPLIFIED_STEPS if d0 and mp.isfinite(d0) else 0):
                 dz = jost_eval_recursive(mpv, z) / d0
                 z -= dz
                 if abs(dz) <= _MP_STOP * abs(z):
@@ -674,47 +659,76 @@ def _polish_mp(values, roots, slopes) -> list:
             else:
                 for _ in range(_MP_NEWTON_STEPS):
                     f, df = jost_eval_recursive_pair(mpv, z)
-                    if df == 0:
+                    dz = f / df if df else mp.nan
+                    z -= dz
+                    if abs(dz) <= _MP_STOP * abs(z):
                         break
-                    z = z - f / df
+                else:
+                    z = mp.nan
             refined.append(z)
         return refined
 
 
 def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
-    """Locate the real zeros of f0 in (-1, 1) by recursion-evaluated sign scan.
+    """The real zeros of f0 in (-1, 1): counted, then located.
 
-    Works where coefficient-based root finding cannot: the recursion
-    evaluation stays well conditioned for |z| < 1 at any support length.
-    Bound-state zeros are simple, so every zero in (-1, 1) is a sign
-    crossing; because the bound-state count can never exceed b, finding b
-    crossings certifies N = b.
+    :func:`_sturm_counts` needs no coefficients and stays well conditioned
+    at any support length.  Its counts at alpha = 1 give the states of V in
+    (0, 1) and in (-1, 0), so N is counted, not found.  The N brackets are
+    then multisected together: a pass spreads about _CUTS points over the
+    live brackets, at least 3 each, and keeps the piece where the count
+    first reaches k, for the k-th state of its side, so every state is
+    isolated by construction.  The brackets start at Gershgorin's bound
+    1/|alpha| < 2 + max |V_n|, and the cuts are geometric while hi > 2 lo,
+    so a deep state such as alpha = 1e-100 comes out to relative precision.
+    A bracket stops within 2 ulps or when a pass no longer shrinks it; one
+    secant step on the last pivot, which falls through 0 at the state,
+    places the root inside it.  As the count is that of double arithmetic,
+    a state within a few ulps of +-1 can fall outside: [1, 5e-324] has one
+    state, within 1e-323 of -1, and the scan finds none.
 
-    The brackets of the grid pass are refined together to float accuracy
-    (brentq's tolerance with xtol = 1e-15) by a safeguarded, vectorized
-    Illinois regula falsi.  Extended mode then polishes each root at 40
-    digits by simplified Newton steps (mp f0 over the float slope, until
-    |dz| <= 1e-38 |z|), going on with full mp Newton steps for a root that
-    has not converged within the step cap.  Returns the roots in ascending
-    order (floats, or mpf in extended mode).
+    Extended mode polishes each root at 40 digits (:func:`_polish_mp`) and
+    raises NoConvergenceError when a polished root has not converged, leaves
+    (-1, 1) or meets another, as the two states of [1e40, 1e40], which
+    coincide in double, do.  Returns the roots in ascending order (floats,
+    or mpf in extended mode).
     """
-    b = V.b
-    if b == 0:
+    if V.b == 0:
         return []
-    values = list(V.values)
-    for density in (64, 256, 1024, 4096):
-        uni = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, density * b + 64)
-        xs = np.unique(np.concatenate([uni, _GEO_EDGE, -_GEO_EDGE]))
-        xs = xs[np.abs(xs) > 1e-13]
-        vals = jost_eval_recursive(values, xs)
-        sgn = np.sign(vals)
-        idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        if len(idx) >= b:
-            break
-
-    # disjoint ascending brackets, each root strictly inside its own
-    roots = _refine_brackets(values, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1])
-    if cfg.is_extended:
+    values = np.asarray(V.values, dtype=float)
+    n_pos, n_neg = _sturm_counts(values, np.ones(2), np.array([1.0, -1.0]))[0]
+    sign = np.repeat([1.0, -1.0], [n_pos, n_neg])
+    k = np.concatenate([np.arange(1, n_pos + 1), np.arange(1, n_neg + 1)])
+    lo, hi = np.full(len(k), 0.5 / (2.0 + np.abs(values).max())), np.ones(len(k))
+    live = np.arange(len(k))
+    while len(live):
+        a, c = lo[live, None], hi[live, None]
+        n_cuts = max(3, _CUTS // len(live))
+        frac = np.arange(1, n_cuts + 1) / (n_cuts + 1)
+        cuts = np.where(c > 2.0 * a, a ** (1 - frac) * c**frac, a + (c - a) * frac)
+        counts, _ = _sturm_counts(values, cuts.ravel(), np.repeat(sign[live], n_cuts))
+        reached = counts.reshape(cuts.shape) >= k[live, None]
+        j = np.where(reached.any(axis=1), reached.argmax(axis=1), n_cuts)
+        edges, rows = np.hstack([a, cuts, c]), np.arange(len(live))
+        new_lo, new_hi = edges[rows, j], edges[rows, j + 1]
+        lo[live], hi[live] = new_lo, new_hi
+        shrunk = (new_lo > a[:, 0]) | (new_hi < c[:, 0])
+        live = live[shrunk & (new_hi - new_lo > 2 * np.spacing(new_hi))]
+    _, e = _sturm_counts(values, np.concatenate([lo, hi]), np.tile(sign, 2))
+    e_lo, e_hi = np.split(e, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = e_lo / (e_lo - e_hi)
+    t = np.where((e_lo >= 0) & (e_hi < 0) & (t <= 1), t, 0.5)
+    roots = np.sort(sign * (lo + t * (hi - lo)))
+    if not cfg.is_extended:
+        return roots.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
         _, slopes = jost_eval_recursive_pair(values, roots)
-        return _polish_mp(values, roots.tolist(), slopes.tolist())
-    return roots.tolist()
+    polished = sorted(_polish_mp(V.values, roots.tolist(), slopes.tolist()))
+    ends = [-1.0, *polished, 1.0]
+    if not all(z1 - z0 > 2 * _MP_STOP * abs(z1) for z0, z1 in zip(ends, ends[1:])):
+        raise NoConvergenceError(
+            "a 40-digit polished bound state has not converged, leaves (-1, 1) "
+            "or meets another"
+        )
+    return polished

@@ -119,6 +119,12 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--bmax", "0")
         assert code == EXIT_INPUT
 
+    def test_deep_states_full_count(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--bmax", "60", "--amplitude", "200")
+        assert code == EXIT_OK
+        rows = out.strip().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [[str(b), str(b)] for b in range(1, 61)]
+
     @pytest.mark.parametrize("amplitude", ["0", "nan", "inf"])
     def test_bad_amplitude_is_input_error(self, capsys, amplitude):
         code, out, err = run(capsys, "sweep", "--bmax", "3", "--amplitude", amplitude)
@@ -134,8 +140,8 @@ class TestSweep:
         assert dest.read_text().startswith("b,N,")
 
     def test_missed_roots_far_from_edge_stay_in_configured_precision(self, monkeypatch):
-        # the extended scan walks the same grid, so a short count is no reason
-        # to rerun it; only roots near +-1 are
+        # the extended scan counts the states as the standard one does, so a
+        # short count is no reason to rerun it; only roots near +-1 are
         calls = []
 
         def short_scan(pot, cfg):

@@ -1,12 +1,18 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticejost.core import NumericConfig, validate_potential
 from latticejost.errors import (
     CountMismatchError,
     FloatOverflowError,
+    LatticeJostError,
+    NoConvergenceError,
     NotABoundStateError,
     UnitCircleViolationError,
 )
@@ -292,6 +298,27 @@ class TestNormingConstants:
                     ref = float(2 - a - 1 / a)
                     assert abs(bs.lam - ref) <= math.ulp(ref), values
 
+    def test_std_lambda_without_cancellation(self):
+        # 2 - alpha - 1/alpha cancels near alpha = 1 (up to 1324 ulps off on
+        # these states); at the correctly rounded alpha what is left of
+        # -(1 - alpha)^2 / alpha is that alpha's own rounding.  The inputs are
+        # drawn as the benchmark's analyze-ext workload draws seeds 1 and 2.
+        ext = NumericConfig.extended()
+        states = 0
+        for seed in (1, 2):
+            rng = random.Random(f"analyze-ext:{seed}")
+            for _ in range(20):
+                for b in (4, 8, 12, 12, 20):
+                    values = [rng.uniform(-3, 3) for _ in range(b)]
+                    while values[-1] == 0.0:
+                        values[-1] = rng.uniform(-3, 3)
+                    ledger, p = ledger_for(values, ext)
+                    pairs = zip(norming_constants(ledger, p), norming_constants(ledger, p, ext))
+                    for s, e in pairs:
+                        states += 1
+                        assert abs(s.lam - e.lam) <= 60 * math.ulp(e.lam), values
+        assert states > 1000
+
     @pytest.mark.parametrize("alpha", [0.1, -0.3, 1e-3])
     def test_norm_survives_deep_growth(self, alpha):
         # alternating amplitude 50 at b=110: the recursion grows past 2^256
@@ -381,6 +408,67 @@ class TestSignDiagnostics:
                 assert r.product_matches_parity, list(v)
 
 
+def exact_count(values) -> int:
+    """N by the exact Sturm count, in rational arithmetic.
+
+    The negative pivots d_n = 2 + V_n - 1/d_(n-1) (d_0 = inf) of H at the
+    band edge lambda = 0, one more when 0 <= d_b < 1, for V and for -V; a
+    zero pivot makes the next one -inf.
+    """
+
+    def below_band(vs):
+        count, inv, d = 0, Fraction(0), None  # inv = 1/d_(n-1); None after d = 0
+        for v in vs:
+            if inv is None:  # this pivot is -inf
+                count, inv, d = count + 1, Fraction(0), None
+                continue
+            d = 2 + Fraction(v) - inv
+            count += d < 0
+            inv = 1 / d if d else None
+        return count + (inv is None or (d is not None and 0 <= d < 1))
+
+    return below_band(values) + below_band([-v for v in values])
+
+
+# a b=40 input with 18 states, two of them 4.7e-6 apart near lambda = -0.9163
+CLOSE_PAIR = [
+    -0.23677969833256096, -0.24935692706395196, -2.371544102526975, -1.2950466902775888,
+    1.202919731256097, 0.09639697774778533, 2.485291720059859, -2.4156802218144673,
+    0.616272058658712, 2.0608511107864205, -2.565734654504798, -2.994174101238628,
+    -2.1553957185962966, -2.501435774287036, -1.9950261695198979, 0.7553796582194421,
+    -2.613136719179124, -1.7088661776910448, -0.00769737057933817, 2.926898101475797,
+    2.789495937339405, 0.45501569513083817, -2.321040879828355, 2.4416230492773714,
+    -1.726431856095456, 0.5638827393556953, -1.3469416017148845, -2.2487955312625747,
+    0.751295832252894, -2.3293541065875045, -1.1361765361543763, -0.18254463760887596,
+    1.2926043387753667, 2.7729837145249423, -1.5619866172875716, -1.7343596568795505,
+    0.8496777519172216, -0.7295591655664975, -0.4133526993634056, -1.7067998438010195,
+]
+
+
+def _edge_clear(values, delta=Fraction(1, 10**6)) -> bool:
+    """Whether f0 has no zero within delta of +-1, decided exactly.
+
+    On I = [1 - delta, 1 + delta] the Jost recursion run on absolute values
+    bounds |f0'| by B_0; |f0(1)| > delta B_0 then leaves no zero in I.  A
+    zero near -1 is one of -V's near 1, since f0 of -V is z -> f0(-z).
+    """
+    q, S = 1 + delta, 1 + delta + 1 / (1 - delta)  # |z|, |z + 1/z| on I
+    T = 1 / (1 - delta) ** 2 - 1  # |1 - 1/z^2| on I
+
+    def clear(vs):
+        b = len(vs)
+        f, f_next = Fraction(1), Fraction(1)  # f_b, f_(b+1) at z = 1
+        A, A_next = q**b, q ** (b + 1)  # bounds on |f_n|, |f_(n+1)| on I
+        B, B_next = b * q ** (b - 1), (b + 1) * q**b  # and on |f_n'|, |f_(n+1)'|
+        for v in map(Fraction, reversed(vs)):
+            f, f_next = (2 + v) * f - f_next, f
+            w = S + abs(v)
+            A, A_next, B, B_next = w * A + A_next, A, w * B + T * A + B_next, B
+        return abs(f) > delta * B
+
+    return clear(values) and clear([-v for v in values])
+
+
 class TestBoundStateScan:
     def test_matches_classification_small_b(self):
         for values in ([2.0], EX42_POTENTIAL, [-2.0, 2.0, -2.0]):
@@ -392,6 +480,68 @@ class TestBoundStateScan:
 
     def test_trivial(self):
         assert bound_state_scan(validate_potential([]), CFG) == []
+
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    @pytest.mark.parametrize("b, amplitude", [(110, 50.0), (60, 200.0)])
+    def test_deep_alternating_full_count(self, cfg, b, amplitude):
+        V = alternating_potential(b, amplitude)
+        assert exact_count(V.values) == b
+        roots = bound_state_scan(V, cfg)
+        assert len(roots) == b
+        assert all(-1 < r < 1 for r in roots)
+        assert all(r0 < r1 for r0, r1 in zip(roots, roots[1:]))
+
+    def test_close_pair(self):
+        roots = bound_state_scan(validate_potential(CLOSE_PAIR), CFG)
+        assert len(roots) == exact_count(CLOSE_PAIR) == 18
+        assert all(r0 < r1 for r0, r1 in zip(roots, roots[1:]))
+
+    @pytest.mark.parametrize("values", [[1e20, -1e20, 1e20], [1e40, 1e40]])
+    def test_huge_values_full_count(self, values):
+        roots = bound_state_scan(validate_potential(values), CFG)
+        assert len(roots) == exact_count(values) == len(values)
+
+    @pytest.mark.parametrize("values", [[1e20, -1e20, 1e20], [1e40, 1e40], [1e308, 1e308]])
+    def test_states_coincident_in_double_are_typed_in_extended(self, values):
+        # two states coincide in double and polish to one or not at all
+        with pytest.raises(NoConvergenceError):
+            bound_state_scan(validate_potential(values), NumericConfig.extended())
+
+    def test_single_site_root_correctly_rounded(self):
+        assert bound_state_scan(validate_potential([50.0]), CFG) == [-0.02]
+
+    @pytest.mark.parametrize("v", [1e100, 1e300, -1e308])
+    def test_deep_single_site_state(self, v):
+        V = validate_potential([v])
+        (root,) = bound_state_scan(V, CFG)
+        assert root == pytest.approx(-1 / v, rel=1e-15)
+        try:
+            ext = bound_state_scan(V, NumericConfig.extended())
+        except LatticeJostError:
+            return
+        assert [float(r) for r in ext] == pytest.approx([-1 / v], rel=1e-15)
+
+    def test_state_beyond_double_resolution_of_the_edge(self):
+        # documented: the one state of [1, 5e-324] lies within 1e-323 of -1,
+        # where the double count cannot see it
+        values = [1.0, 5e-324]
+        assert exact_count(values) == 1
+        assert bound_state_scan(validate_potential(values), CFG) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_count_matches_exact_count(self, values):
+        n = len(bound_state_scan(validate_potential(values), CFG))
+        if _edge_clear(values):
+            assert n == exact_count(values)
+        else:
+            assert abs(n - exact_count(values)) <= 1
 
     def test_large_support_full_count(self):
         from latticejost.design import alternating_potential
