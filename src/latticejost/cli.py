@@ -98,17 +98,12 @@ def cmd_analyze(args: argparse.Namespace, cfg: NumericConfig) -> int:
     return EXIT_OK if rep.verdicts.all_theorems_hold else EXIT_VERDICT
 
 
-def _sweep_row(b: int, amplitude: float, cfg: NumericConfig, edge_floor: float):
+def _sweep_row(b: int, amplitude: float, cfg: NumericConfig):
     t0 = time.perf_counter()
-    pot = alternating_potential(b, amplitude)
-    for cfg in (cfg, NumericConfig.extended()):
-        roots = bound_state_scan(pot, cfg)
-        dist = min((min(abs(r - 1), abs(r + 1)) for r in roots), default=math.nan)
-        # near-edge roots need the high-precision path
-        if cfg.is_extended or not float(dist) < edge_floor:
-            break
+    roots = bound_state_scan(alternating_potential(b, amplitude), cfg)
+    dist = min((min(abs(r - 1), abs(r + 1)) for r in roots), default=math.nan)
     ms = (time.perf_counter() - t0) * 1e3
-    return len(roots), float(dist), cfg.precision_mode, ms
+    return len(roots), float(dist), ms
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
@@ -128,7 +123,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
     failures = 0
     for b in range(1, args.bmax + 1):
         try:
-            n, dist, precision, ms = _sweep_row(b, args.amplitude, cfg, args.edge_floor)
+            n, dist, ms = _sweep_row(b, args.amplitude, cfg)
         except LatticeJostError as exc:
             writer.writerow([b, -1, "nan", cfg.precision_mode, f"{0.0:.3f}"])
             print(f"row b={b} failed: {exc}", file=sys.stderr)
@@ -136,7 +131,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
             continue
         if n != b:
             failures += 1
-        writer.writerow([b, n, f"{dist:.12g}", precision, f"{ms:.3f}"])
+        writer.writerow([b, n, f"{dist:.12g}", cfg.precision_mode, f"{ms:.3f}"])
     _emit(buf.getvalue().rstrip("\n"), args)
     return EXIT_VERDICT if failures else EXIT_OK
 
@@ -266,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--family", default="alternating")
     p_sw.add_argument("--amplitude", type=float, default=2.0)
     p_sw.add_argument("--bmax", type=int, required=True)
-    p_sw.add_argument("--edge-floor", type=float, default=1e-6,
-                      help="min root distance to +-1 below which extended precision engages")
     _add_numeric_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -14,7 +14,10 @@ constants are the Jost solution's norm, one O(b) recursion in double
 arithmetic in either precision.
 
 The large-support scan counts the bound states by the operator's pivots and
-multisects on that count, so it needs no coefficients.
+multisects on that count, so it needs no coefficients.  In extended
+precision it polishes each root by Newton steps on the Jost recursion in the
+same exact fixed-point ints (:func:`_g0_fixed`); mpmath only boxes its
+results.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from .errors import (
     NotABoundStateError,
     UnitCircleViolationError,
 )
-from .jost import (
-    JostPolynomial,
-    jost_eval,
-    jost_eval_derivative,
-    jost_eval_recursive,
-    jost_eval_recursive_pair,
-)
+from .jost import JostPolynomial, jost_eval, jost_eval_derivative
 
 __all__ = [
     "ClassifiedZero",
@@ -115,17 +112,25 @@ def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
     return out
 
 
+def _fixed_bits(roots: Sequence[complex], dps: int) -> int:
+    """Fraction bits F that resolve every root to dps digits.
+
+    F = ceil(dps log2 10) + 40 resolves every root of modulus 2^-40 or more
+    to dps digits; a smaller root adds the bits it lacks.
+    """
+    F = math.ceil(dps * math.log2(10)) + 40
+    return F + max([0] + [-(math.frexp(abs(z))[1] + 40) for z in roots])
+
+
 def _fixed_scales(coeffs: Sequence, roots: Sequence[complex], dps: int) -> tuple[int, int]:
     """Fraction bits (F, C) of the roots and of the coefficients of p.
 
-    F = ceil(dps log2 10) + 40 resolves every root of modulus 2^-40 or more
-    to dps digits; a smaller root adds the bits it lacks.  The coefficients
-    carry C - F more bits when the leading one is below 1/2, which lifts it
-    to at least 1/2: with the constant term 1 of f0, p then keeps dps digits
-    relative to its size inside and outside the unit circle alike.
+    F is :func:`_fixed_bits`.  The coefficients carry C - F more bits when
+    the leading one is below 1/2, which lifts it to at least 1/2: with the
+    constant term 1 of f0, p then keeps dps digits relative to its size
+    inside and outside the unit circle alike.
     """
-    F = math.ceil(dps * math.log2(10)) + 40
-    F += max([0] + [-(math.frexp(abs(z))[1] + 40) for z in roots])
+    F = _fixed_bits(roots, dps)
     n, d = coeffs[-1].as_integer_ratio()
     return F, F + max(0, d.bit_length() - abs(n).bit_length())
 
@@ -605,7 +610,7 @@ def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
 
 _CUTS = 512  # points per multisection pass, shared by the live brackets
 _MP_DPS = 40
-_MP_STOP = 10.0**-38  # simplified Newton stops once |dz| <= _MP_STOP |z|
+_MP_STOP = 10**38  # Newton stops once |dz| * _MP_STOP <= |z|
 _MP_SIMPLIFIED_STEPS = 4
 _MP_NEWTON_STEPS = 5
 
@@ -633,40 +638,74 @@ def _sturm_counts(values: np.ndarray, x: np.ndarray, sign: np.ndarray):
     return (d < 0).sum(axis=0), d[-1]
 
 
-def _polish_mp(values, roots, slopes) -> list:
-    """Multiprecision polish of float roots of f0, at _MP_DPS digits.
+def _g0_fixed(vals: Sequence[int], z: int, F: int, slope: bool):
+    """g_0 = f_0 / z^b at a fixed-point z != 0, with g_0' when slope is set.
 
-    Simplified Newton: z -= f0(z) / f0'(r), with f0 evaluated in mp and the
-    slope the float derivative at the float root r, until
-    |dz| <= _MP_STOP |z|.  Each step needs f0 alone, and from a float root
-    each gains about as many digits as the slope carries.  A root not
-    converged within _MP_SIMPLIFIED_STEPS steps (or with a zero or
-    nonfinite slope) goes on with full Newton steps on (f0, f0') in mp; one
-    that has not converged within _MP_NEWTON_STEPS of those comes back nan.
+    Exact ints scaled by 2^F run the backward recursion of :func:`_norm_c2`
+    to n = 0: g_b = 1, g_(b+1) = z, g_(n-1) = (z + 1/z + V_n) g_n - g_(n+1),
+    and g_(n-1)' = (z + 1/z + V_n) g_n' + (1 - 1/z^2) g_n - g_(n+1)'.  vals
+    holds V_1..V_b at the same scale.  Once |g| passes 2^256 the state is
+    divided by a power of two taken from |g| alone, as g' can exceed g by
+    far (by 1/z^2 for a deep state) and a shift taken from it would wipe
+    out g's bits.  Returns (g_0, g_0' or None, k): the true values are the
+    returned ones times 2^k.
     """
-    from mpmath import mp, mpf
+    one, cap = 1 << F, F + 256
+    zi = (one << F) // z
+    s, ds = z + zi, one - ((zi * zi) >> F)
+    g_next, g, d_next, d, k = z, one, one, 0, 0
+    for v in reversed(vals):
+        w = s + v
+        if slope:
+            d_next, d = d, ((w * d + ds * g) >> F) - d_next
+        g_next, g = g, ((w * g) >> F) - g_next
+        if g.bit_length() > cap:
+            e = g.bit_length() - F
+            g_next, g, d_next, d, k = g_next >> e, g >> e, d_next >> e, d >> e, k + e
+    return g, d if slope else None, k
 
-    with mp.workdps(_MP_DPS):
-        mpv = [mpf(v) for v in values]
-        refined = []
-        for r0, slope in zip(roots, slopes):
-            z, d0 = mpf(r0), mpf(slope)
-            for _ in range(_MP_SIMPLIFIED_STEPS if d0 and mp.isfinite(d0) else 0):
-                dz = jost_eval_recursive(mpv, z) / d0
-                z -= dz
-                if abs(dz) <= _MP_STOP * abs(z):
-                    break
-            else:
-                for _ in range(_MP_NEWTON_STEPS):
-                    f, df = jost_eval_recursive_pair(mpv, z)
-                    dz = f / df if df else mp.nan
-                    z -= dz
-                    if abs(dz) <= _MP_STOP * abs(z):
-                        break
-                else:
-                    z = mp.nan
-            refined.append(z)
-        return refined
+
+def _newton_fixed(vals: Sequence[int], z: int, F: int) -> int | None:
+    """One root of g_0 polished from the fixed-point z; see :func:`_polish_fixed`."""
+    one = 1 << F
+    g, slope, k0 = _g0_fixed(vals, z, F, True)
+    k, simple = k0, (_MP_SIMPLIFIED_STEPS if slope else 0)
+    for i in range(simple + _MP_NEWTON_STEPS):
+        if i:
+            g, d, k = _g0_fixed(vals, z, F, i >= simple)
+            if i >= simple:
+                slope, k0 = d, k
+        if not slope:
+            return None
+        e = F + k - k0  # g's rescaling can differ from the slope's
+        dz = (g << e) // slope if e >= 0 else g // (slope << -e)
+        z -= dz
+        if not 0 < abs(z) < one:
+            return None
+        if abs(dz) * _MP_STOP <= abs(z):
+            return z
+    return None
+
+
+def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list, int]:
+    """Newton polish of float roots of f0 in (-1, 1) at _MP_DPS digits.
+
+    Newton runs on g_0 = f_0 / z^b (:func:`_g0_fixed`) in exact ints scaled
+    by 2^F, where F is :func:`_fixed_bits` of the roots, raised where needed
+    so that every V_n is an exact int.  The slope g_0' is computed once, at
+    the float root; up to _MP_SIMPLIFIED_STEPS simplified steps
+    z -= g_0(z) / slope follow, and a root not converged by then (or with a
+    zero slope) goes on with up to _MP_NEWTON_STEPS full steps.  A root has
+    converged once |dz| * _MP_STOP <= |z|; one that has not, or whose
+    iterate leaves (-1, 1) or hits 0, comes back None.  Returns the polished
+    roots as ints at scale 2^F, and F.
+    """
+    F = max(
+        [_fixed_bits(roots, _MP_DPS)]
+        + [v.as_integer_ratio()[1].bit_length() - 1 for v in values]
+    )
+    vals = [_fixed(v, F) for v in values]
+    return [_newton_fixed(vals, _fixed(r, F), F) for r in roots], F
 
 
 def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
@@ -687,11 +726,11 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     a state within a few ulps of +-1 can fall outside: [1, 5e-324] has one
     state, within 1e-323 of -1, and the scan finds none.
 
-    Extended mode polishes each root at 40 digits (:func:`_polish_mp`) and
-    raises NoConvergenceError when a polished root has not converged, leaves
-    (-1, 1) or meets another, as the two states of [1e40, 1e40], which
-    coincide in double, do.  Returns the roots in ascending order (floats,
-    or mpf in extended mode).
+    Extended mode polishes each root at 40 digits in fixed-point ints
+    (:func:`_polish_fixed`) and raises NoConvergenceError when a polished
+    root has not converged, leaves (-1, 1) or meets another, as the two
+    states of [1e40, 1e40], which coincide in double, do.  Returns the roots
+    in ascending order (floats, or 40-digit mpf in extended mode).
     """
     if V.b == 0:
         return []
@@ -722,13 +761,18 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     roots = np.sort(sign * (lo + t * (hi - lo)))
     if not cfg.is_extended:
         return roots.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, slopes = jost_eval_recursive_pair(values, roots)
-    polished = sorted(_polish_mp(V.values, roots.tolist(), slopes.tolist()))
-    ends = [-1.0, *polished, 1.0]
-    if not all(z1 - z0 > 2 * _MP_STOP * abs(z1) for z0, z1 in zip(ends, ends[1:])):
+    polished, F = _polish_fixed(V.values, roots.tolist())
+    if None not in polished:
+        polished.sort()
+    ends = [-1 << F, *polished, 1 << F]
+    if None in polished or not all(
+        (z1 - z0) * _MP_STOP > 2 * abs(z1) for z0, z1 in zip(ends, ends[1:])
+    ):
         raise NoConvergenceError(
             "a 40-digit polished bound state has not converged, leaves (-1, 1) "
             "or meets another"
         )
-    return polished
+    from mpmath import mp, mpf
+
+    with mp.workdps(_MP_DPS):
+        return [mpf((z, -F)) for z in polished]

@@ -139,19 +139,27 @@ class TestSweep:
         assert code == EXIT_OK
         assert dest.read_text().startswith("b,N,")
 
-    def test_missed_roots_far_from_edge_stay_in_configured_precision(self, monkeypatch):
-        # the extended scan counts the states as the standard one does, so a
-        # short count is no reason to rerun it; only roots near +-1 are
+    def test_missed_roots_far_from_edge_stay_in_configured_precision(self, monkeypatch, capsys):
+        # both precisions count the states alike, so neither a short count nor
+        # a root near +-1 is a reason to rerun the scan in another precision
         calls = []
 
         def short_scan(pot, cfg):
             calls.append(cfg.precision_mode)
-            return [0.5] * (pot.b - 1)
+            return [1 - 1e-9] * (pot.b - 1)
 
         monkeypatch.setattr(cli, "bound_state_scan", short_scan)
-        n, dist, precision, _ = cli._sweep_row(5, 2.0, cli.NumericConfig(), 1e-6)
-        assert calls == ["standard"]
-        assert (n, dist, precision) == (4, 0.5, "standard")
+        for flag, mode in (("std", "standard"), ("ext", "extended")):
+            calls.clear()
+            code, out, _ = run(capsys, "sweep", "--bmax", "3", "--precision", flag)
+            assert code == EXIT_VERDICT
+            assert calls == [mode] * 3
+            rows = [row.split(",") for row in out.strip().splitlines()[1:]]
+            assert [row[1] for row in rows] == ["0", "1", "2"]
+            assert {row[3] for row in rows} == {mode}
+        with pytest.raises(SystemExit) as exc:  # the escalation threshold is gone
+            main(["sweep", "--bmax", "3", "--edge-floor", "1e-6"])
+        assert exc.value.code == EXIT_INPUT
 
 
 class TestDesign:

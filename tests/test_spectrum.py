@@ -11,7 +11,6 @@ from latticejost.core import NumericConfig, validate_potential
 from latticejost.errors import (
     CountMismatchError,
     FloatOverflowError,
-    LatticeJostError,
     NoConvergenceError,
     NotABoundStateError,
     UnitCircleViolationError,
@@ -512,14 +511,15 @@ class TestBoundStateScan:
 
     @pytest.mark.parametrize("v", [1e100, 1e300, -1e308])
     def test_deep_single_site_state(self, v):
+        from mpmath import mp, mpf
+
         V = validate_potential([v])
         (root,) = bound_state_scan(V, CFG)
         assert root == pytest.approx(-1 / v, rel=1e-15)
-        try:
-            ext = bound_state_scan(V, NumericConfig.extended())
-        except LatticeJostError:
-            return
-        assert [float(r) for r in ext] == pytest.approx([-1 / v], rel=1e-15)
+        (ext,) = bound_state_scan(V, NumericConfig.extended())
+        with mp.workdps(60):
+            exact = mpf(-1) / mpf(v)  # f0(z) = 1 + v z
+            assert abs(ext - exact) <= mpf(10) ** -38 * abs(exact)
 
     def test_state_beyond_double_resolution_of_the_edge(self):
         # documented: the one state of [1, 5e-324] lies within 1e-323 of -1,
@@ -581,9 +581,56 @@ class TestBoundStateScan:
                 floor = mpf(10) ** -38 * abs(z * df)
                 assert abs(f) <= abs(jost_eval_recursive(mpv, z1)) + floor
 
+    def test_extended_polish_matches_60_digit_newton(self):
+        # the reference differentiates f_(n-1) = (z + 1/z + V_n) f_n - f_(n+1)
+        # from f_b = z^b here, at 60 digits; the first input's V_4 = 2^-600
+        # is an exact int only at 652 fraction bits, which the polish must
+        # take (rounding it away would move the roots by about 1e-181 only)
+        from mpmath import mp, mpf
+
+        from latticejost.spectrum import _polish_fixed
+
+        def f0_pair(values, z):
+            b = len(values)
+            f_next, f, d_next, d = z ** (b + 1), z**b, (b + 1) * z**b, b * z ** (b - 1)
+            for v in reversed(values):
+                w = z + 1 / z + v
+                f_next, f, d_next, d = f, w * f - f_next, d, w * d + (1 - z**-2) * f - d_next
+            return f, d
+
+        rng = np.random.default_rng(13)
+        inputs = [[3.0, 1e-30, -2.0, 2.0**-600, 2.5]]
+        inputs += [rng.uniform(-3, 3, 12).tolist() for _ in range(4)]
+        for values in inputs:
+            roots = bound_state_scan(validate_potential(values), NumericConfig.extended())
+            assert len(roots) == exact_count(values) > 0
+            F = _polish_fixed(values, [float(z) for z in roots])[1]
+            assert all((Fraction(v) * 2**F).denominator == 1 for v in values)
+            with mp.workdps(60):
+                mpv = [mpf(v) for v in values]
+                for z in roots:
+                    a = mpf(z)
+                    for _ in range(8):
+                        f, df = f0_pair(mpv, a)
+                        a -= f / df
+                        if abs(f / df) < mpf(10) ** -55 * abs(a):
+                            break
+                    assert abs(z - a) <= mpf(10) ** -38 * abs(a), values
+
+    def test_polish_stops_at_an_iterate_leaving_the_interval(self, monkeypatch):
+        # f0 of [-1/r] is 1 - z/r; from 1 - 1e-9 the first full Newton step
+        # lands past 1, next to the resonance r = 1 + 1e-9, where the next
+        # four steps would converge; f0 of [2] is 1 + 2z
+        import latticejost.spectrum as spectrum
+
+        monkeypatch.setattr(spectrum, "_MP_SIMPLIFIED_STEPS", 0)
+        assert spectrum._polish_fixed([-1 / (1 + 1e-9)], [1 - 1e-9])[0] == [None]
+        polished, F = spectrum._polish_fixed([2.0], [-0.49999999])
+        assert polished == [-1 << (F - 1)]
+
     def test_extended_fallback_to_full_newton(self, monkeypatch):
         # a root that misses the simplified-Newton stopping rule within the
-        # step cap goes on with full mp Newton steps and ends as converged
+        # step cap goes on with full Newton steps and ends as converged
         import latticejost.spectrum as spectrum
         from latticejost.design import alternating_potential
 
