@@ -691,19 +691,16 @@ def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list
     """Newton polish of float roots of f0 in (-1, 1) at _MP_DPS digits.
 
     Newton runs on g_0 = f_0 / z^b (:func:`_g0_fixed`) in exact ints scaled
-    by 2^F, where F is :func:`_fixed_bits` of the roots, raised where needed
-    so that every V_n is an exact int.  The slope g_0' is computed once, at
-    the float root; up to _MP_SIMPLIFIED_STEPS simplified steps
-    z -= g_0(z) / slope follow, and a root not converged by then (or with a
+    by 2^F, where F is :func:`_fixed_bits` of the roots and each V_n is
+    rounded to that scale.  The slope g_0' is computed once, at the float
+    root; up to _MP_SIMPLIFIED_STEPS simplified steps z -= g_0(z) / slope
+    follow, and a root not converged by then (or with a
     zero slope) goes on with up to _MP_NEWTON_STEPS full steps.  A root has
     converged once |dz| * _MP_STOP <= |z|; one that has not, or whose
     iterate leaves (-1, 1) or hits 0, comes back None.  Returns the polished
     roots as ints at scale 2^F, and F.
     """
-    F = max(
-        [_fixed_bits(roots, _MP_DPS)]
-        + [v.as_integer_ratio()[1].bit_length() - 1 for v in values]
-    )
+    F = _fixed_bits(roots, _MP_DPS)
     vals = [_fixed(v, F) for v in values]
     return [_newton_fixed(vals, _fixed(r, F), F) for r in roots], F
 

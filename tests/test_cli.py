@@ -156,6 +156,7 @@ class TestSweep:
             assert calls == [mode] * 3
             rows = [row.split(",") for row in out.strip().splitlines()[1:]]
             assert [row[1] for row in rows] == ["0", "1", "2"]
+            assert [row[2] for row in rows] == ["nan"] + [f"{1 - (1 - 1e-9):.12g}"] * 2
             assert {row[3] for row in rows} == {mode}
         with pytest.raises(SystemExit) as exc:  # the escalation threshold is gone
             main(["sweep", "--bmax", "3", "--edge-floor", "1e-6"])
