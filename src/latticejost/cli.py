@@ -69,7 +69,9 @@ def _emit(text: str, args: argparse.Namespace) -> None:
 
 
 def _parse_roots(raw: str) -> list[complex]:
-    return [complex(tok.strip().replace("i", "j")) for tok in raw.split(",") if tok.strip()]
+    """Comma-separated roots; a trailing i marks the imaginary part, as j does."""
+    toks = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    return [complex(tok[:-1] + "j" if tok.endswith("i") else tok) for tok in toks]
 
 
 _SIGNS = {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}
@@ -206,6 +208,8 @@ def cmd_oracle(args: argparse.Namespace, cfg: NumericConfig) -> int:
             raise ValueError(f"--size {args.size} must exceed the support {pot.b}")
         if not 0 < args.margin < math.inf:
             raise ValueError(f"--margin must be positive and finite, got {args.margin}")
+        if not args.alpha_filter > 0:
+            raise ValueError(f"--alpha-filter must be positive, got {args.alpha_filter}")
     except (LatticeJostError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -331,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
         # interpreter exit cannot raise again (as the Python signal docs advise)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except OSError as exc:  # --out names a file that cannot be written
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

@@ -111,8 +111,9 @@ class NumericConfig:
     def __post_init__(self) -> None:
         if self.precision_mode not in ("standard", "extended"):
             raise ValueError(f"unknown precision mode {self.precision_mode!r}")
-        if min(self.tau_real, self.tau_cluster, self.tau_edge) <= 0:
-            raise ValueError("all thresholds must be positive")
+        taus = (self.tau_real, self.tau_cluster, self.tau_edge)
+        if not all(0 < t < math.inf for t in taus):
+            raise ValueError("all thresholds must be positive and finite")
         if self.tau_cluster < self.tau_real:
             raise ValueError("tau_cluster must be at least tau_real")
 

@@ -131,7 +131,13 @@ class InverseB2Result:
     consistency_residual: float
 
 
-def _check_conjugate_closed(roots: Sequence[complex]) -> None:
+def _check_root_set(roots: Sequence[complex]) -> None:
+    """Reject a root set with a zero, a non-finite or an unpaired nonreal root."""
+    for z in roots:
+        if z == 0:
+            raise InconsistentRootsError("z = 0 is never a Jost zero")
+        if not cmath.isfinite(z):
+            raise InconsistentRootsError(f"root {z} is not finite")
     nonreal = [z for z in roots if z.imag != 0]
     for z in nonreal:
         if not any(abs(w - z.conjugate()) < 1e-10 * max(1.0, abs(z)) for w in nonreal):
@@ -150,9 +156,7 @@ def inverse_b2(roots: Sequence[complex]) -> InverseB2Result:
     if len(roots) != 3:
         raise ValueError("exactly three roots are required")
     alphas = [complex(z) for z in roots]
-    if any(z == 0 for z in alphas):
-        raise InconsistentRootsError("z = 0 is never a Jost zero")
-    _check_conjugate_closed(alphas)
+    _check_root_set(alphas)
 
     w = _elementary_symmetric([1.0 / z for z in alphas])
     v2c = -w[3]
@@ -161,7 +165,7 @@ def inverse_b2(roots: Sequence[complex]) -> InverseB2Result:
         raise InconsistentRootsError("recovered potential values are not real")
     V1, V2 = v1c.real, v2c.real
     middle = abs(V1 * V2 - w[2])
-    if middle > 1e-8:
+    if not middle <= 1e-8:  # NaN too, as when a reciprocal root overflows
         raise InconsistentRootsError(
             f"middle coefficient equation violated by {middle:.3e}"
         )
@@ -197,9 +201,7 @@ def verify_b3(V: Potential, roots: Sequence[complex]) -> list[float]:
         raise ValueError("verify_b3 needs a support-3 potential")
     if len(roots) != 5:
         raise ValueError("exactly five roots are required")
-    if any(z == 0 for z in roots):
-        raise InconsistentRootsError("z = 0 is never a Jost zero")
-    _check_conjugate_closed(list(map(complex, roots)))
+    _check_root_set(list(map(complex, roots)))
     return [abs(l - r) for l, r in _b3_equation_sides(V.values, roots)]
 
 
@@ -232,9 +234,7 @@ def inverse_b3(alphas: Sequence[complex]) -> InverseB3Result:
     if len(alphas) != 4:
         raise ValueError("exactly four known roots are required")
     known = [complex(z) for z in alphas]
-    if any(z == 0 for z in known):
-        raise InconsistentRootsError("z = 0 is never a Jost zero")
-    _check_conjugate_closed(known)
+    _check_root_set(known)
 
     ep = [c.real for c in _elementary_symmetric([1.0 / z for z in known])]
     a, b, c = ep[4] * (1.0 - ep[4]), ep[1] * ep[4] - ep[3], -ep[4]

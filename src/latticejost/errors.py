@@ -25,10 +25,6 @@ class UnitCircleViolationError(LatticeJostError):
     """A nonreal root landed inside the unit circle: numerical failure."""
 
 
-class NotABoundStateError(LatticeJostError):
-    """Norming constant requested at a zero that is not a bound state."""
-
-
 class InconsistentRootsError(LatticeJostError):
     """Root set is not realizable by a real compactly-supported potential."""
 

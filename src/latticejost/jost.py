@@ -7,13 +7,12 @@ and leading coefficient V_b.
 
 Two evaluation routes are provided on purpose:
 
-* coefficient (Horner) evaluation, exact in structure but subject to
-  catastrophic cancellation for large b where coefficients span many
-  orders of magnitude;
-* direct recursion evaluation, which stays well conditioned on and inside
-  the unit circle at any support length.  One evaluator,
-  :func:`jost_eval_recursive`, serves float, complex and mpf points and
-  float arrays alike; :func:`jost_eval_recursive_pair` adds f0'.
+* coefficient (Horner) evaluation, :func:`jost_eval`, exact in structure
+  but subject to catastrophic cancellation for large b where coefficients
+  span many orders of magnitude;
+* the Jost solution itself, :func:`jost_solution`, by the backward
+  recursion, which stays well conditioned on and inside the unit circle at
+  any support length.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .core import Potential
 from .errors import FloatOverflowError, ZeroArgumentError
@@ -33,7 +30,6 @@ __all__ = [
     "jost_coefficients",
     "jost_eval",
     "jost_solution",
-    "jost_eval_recursive",
     "fg_decompose",
     "rouche_margin",
 ]
@@ -171,47 +167,6 @@ def jost_solution(V: Potential, z: complex) -> list[complex]:
         f_next, f_cur = f_cur, f_prev
         out[n - 1] = f_cur
     return out
-
-
-def jost_eval_recursive(values: Sequence, z):
-    """f0(z) by direct recursion, elementwise for an array of nonzero points.
-
-    Generic over float, complex, mpf and float arrays: the recursion starts
-    from f_b = z^b and f_(b+1) = f_b z in the arithmetic of z.  Well
-    conditioned for |z| <= 1 even when the coefficient vector is not, so it
-    evaluates f0 at large b, where Horner on the rounded coefficients cannot.
-    """
-    b = len(values)
-    if b == 0:
-        return z / z  # one, in the arithmetic of z
-    s = z + 1 / z
-    f_cur = z**b
-    f_next = f_cur * z
-    for n in range(b, 0, -1):
-        f_next, f_cur = f_cur, (s + values[n - 1]) * f_cur - f_next
-    return f_cur
-
-
-def jost_eval_recursive_pair(values: Sequence, z):
-    """(f0(z), f0'(z)) by differentiating the recursion; generic arithmetic."""
-    b = len(values)
-    one = z / z
-    if b == 0:
-        return one, 0 * z
-    zi = 1 / z
-    s = z + zi
-    ds = one - zi * zi
-    f_cur = z**b
-    f_next = f_cur * z
-    d_next = (b + 1) * f_cur
-    d_cur = b * f_cur / z
-    for n in range(b, 0, -1):
-        w = s + values[n - 1]
-        f_prev = -f_next + w * f_cur
-        d_prev = -d_next + w * d_cur + ds * f_cur
-        f_next, f_cur = f_cur, f_prev
-        d_next, d_cur = d_cur, d_prev
-    return f_cur, d_cur
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,19 @@ Newton steps, merged into multiplicity clusters, and then binned by the
 interval scheme: bound states in (-1,0) and (0,1), real resonances beyond
 +-1, exceptional zeros at +-1, and complex pairs outside the unit circle.
 
-In extended precision the roots are refined from the exact coefficients
-(Aberth in :func:`find_zeros`, Newton for the bound-state energies) by one
-fixed-point kernel, :func:`_horner_fixed`: exact Python ints scaled by 2^F
-with F = ceil(dps log2 10) + 40 bits for a dps-digit refinement (more for
-roots tinier than 2^-40 or a leading coefficient below 1/2).  The norming
-constants are the Jost solution's norm, one O(b) recursion in double
-arithmetic in either precision.
+In extended precision :func:`find_zeros` refines the roots from the exact
+coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
+exact Python ints scaled by 2^F with F = ceil(dps log2 10) + 40 bits for a
+dps-digit refinement (more for roots tinier than 2^-40 or a leading
+coefficient below 1/2).  The norming constants are the Jost solution's norm,
+one O(b) recursion in double arithmetic in either precision.
 
 The large-support scan counts the bound states by the operator's pivots and
-multisects on that count, so it needs no coefficients.  In extended
-precision it polishes each root by Newton steps on the Jost recursion in the
-same exact fixed-point ints (:func:`_g0_fixed`); mpmath only boxes its
-results.
+multisects on that count, so it needs no coefficients.  One 40-digit polish,
+:func:`_polish_fixed`, refines the real roots in (-1, 1) for both the
+extended scan and the extended bound-state energies: Newton steps on the
+Jost recursion in the same exact fixed-point ints (:func:`_g0_fixed`);
+mpmath only boxes the scan's results.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     DegenerateDegreeError,
     FloatOverflowError,
     NoConvergenceError,
-    NotABoundStateError,
     UnitCircleViolationError,
 )
 from .jost import JostPolynomial, jost_eval, jost_eval_derivative
@@ -462,33 +461,6 @@ def _norm_c2(values: Sequence[float], alpha: float) -> float:
     return c2
 
 
-def _refined_lams(p: JostPolynomial, alphas: list[float], dps: int = 40) -> list[float]:
-    """lambda = 2 - alpha - 1/alpha at the zeros of p nearest alphas, to dps digits.
-
-    A double alpha is off by up to half an ulp, and 2 - alpha - 1/alpha
-    cancels near alpha = 1: there lambda would lose up to 1e3 ulps.  Each
-    alpha is refined by Newton steps on the exact coefficients in the
-    fixed-point kernel of :func:`_aberth` until a step is below
-    10^-(dps-5), and lambda = -(alpha - 1)^2 / alpha is rounded once from
-    the ints.
-    """
-    exact = p.exact if p.exact else p.coeffs
-    F, C = _fixed_scales(exact, alphas, dps)
-    desc = [_fixed(c, C) for c in reversed(exact)]
-    one = 1 << F
-    lams = []
-    for alpha in alphas:
-        a = _fixed(alpha, F)
-        for _ in range(10):
-            pr, _, dr, _ = _horner_fixed(desc, a, 0, F)
-            step = (pr << F) // dr if dr else 0
-            a -= step
-            if abs(step) * 10 ** (dps - 5) < one:
-                break
-        lams.append(-((a - one) ** 2) / (a * one))
-    return lams
-
-
 def norming_constants(
     ledger: ZeroLedger, p: JostPolynomial, cfg: NumericConfig | None = None
 ) -> list[BoundState]:
@@ -499,13 +471,17 @@ def norming_constants(
     2000), in O(b) double arithmetic by :func:`_norm_c2`; it needs no other
     root and is positive by construction.  Both precisions run it at the
     ledger's alpha, which an extended-precision config has from the
-    40-digit Aberth refinement of :func:`find_zeros`; that config also
-    gives lambda at 40 digits (:func:`_refined_lams`).  p must carry the
-    potential's values, as :func:`jost_coefficients` builds it.
+    40-digit Aberth refinement of :func:`find_zeros`.  lambda =
+    -(1 - alpha)^2 / alpha avoids the cancellation of 2 - alpha - 1/alpha
+    near alpha = 1; an extended config evaluates it at alpha polished to 40
+    digits by the extended scan's Newton (:func:`_polish_fixed`), rounded
+    once from its ints.  p must carry the potential's values, as
+    :func:`jost_coefficients` builds it.
 
     A bound state of multiplicity above 1 (two zeros that coincide at the
     working precision) or a c^2 outside double range raises
-    FloatOverflowError naming that precision.
+    FloatOverflowError naming that precision; a polish that fails raises
+    NoConvergenceError.
     """
     if len(p.values) != ledger.b:
         raise ValueError("norming constants need the potential values in p.values")
@@ -519,7 +495,11 @@ def norming_constants(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"
             )
-    lams = _refined_lams(p, alphas) if ext else [-((1.0 - a) ** 2) / a for a in alphas]
+    if ext:
+        polished, F = _polish_fixed(p.values, alphas)
+        lams = [-((a - (1 << F)) ** 2) / (a << F) for a in polished]
+    else:
+        lams = [-((1.0 - a) ** 2) / a for a in alphas]
     out = []
     for (k, alpha), lam in zip(roots, lams):
         try:
@@ -531,19 +511,6 @@ def norming_constants(
             ) from exc
         out.append(BoundState(k=k, alpha=alpha, lam=lam, c2=c2))
     return out
-
-
-def norming_constant_at(
-    ledger: ZeroLedger,
-    p: JostPolynomial,
-    alpha: float,
-    cfg: NumericConfig | None = None,
-) -> BoundState:
-    """Norming constant for one requested zero; must be a bound state."""
-    for bs in norming_constants(ledger, p, cfg):
-        if abs(bs.alpha - alpha) < 1e-12 * max(1.0, abs(alpha)):
-            return bs
-    raise NotABoundStateError(f"{alpha} is not a bound-state zero of this ledger")
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +654,7 @@ def _newton_fixed(vals: Sequence[int], z: int, F: int) -> int | None:
     return None
 
 
-def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list, int]:
+def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list[int], int]:
     """Newton polish of float roots of f0 in (-1, 1) at _MP_DPS digits.
 
     Newton runs on g_0 = f_0 / z^b (:func:`_g0_fixed`) in exact ints scaled
@@ -696,13 +663,24 @@ def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list
     root; up to _MP_SIMPLIFIED_STEPS simplified steps z -= g_0(z) / slope
     follow, and a root not converged by then (or with a
     zero slope) goes on with up to _MP_NEWTON_STEPS full steps.  A root has
-    converged once |dz| * _MP_STOP <= |z|; one that has not, or whose
-    iterate leaves (-1, 1) or hits 0, comes back None.  Returns the polished
-    roots as ints at scale 2^F, and F.
+    converged once |dz| * _MP_STOP <= |z|.  Returns the polished roots as
+    ascending ints at scale 2^F, and F.  Raises NoConvergenceError when a
+    root has not converged, when its iterate leaves (-1, 1) or hits 0, or
+    when two polished roots meet, as the two states of [1e40, 1e40], which
+    coincide in double, do.
     """
     F = _fixed_bits(roots, _MP_DPS)
     vals = [_fixed(v, F) for v in values]
-    return [_newton_fixed(vals, _fixed(r, F), F) for r in roots], F
+    polished = [_newton_fixed(vals, _fixed(r, F), F) for r in roots]
+    if None not in polished:
+        polished.sort()
+        ends = [-1 << F, *polished, 1 << F]
+        if all((z1 - z0) * _MP_STOP > 2 * abs(z1) for z0, z1 in zip(ends, ends[1:])):
+            return polished, F
+    raise NoConvergenceError(
+        "a 40-digit polished bound state has not converged, leaves (-1, 1) "
+        "or meets another"
+    )
 
 
 def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
@@ -724,10 +702,9 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     state, within 1e-323 of -1, and the scan finds none.
 
     Extended mode polishes each root at 40 digits in fixed-point ints
-    (:func:`_polish_fixed`) and raises NoConvergenceError when a polished
-    root has not converged, leaves (-1, 1) or meets another, as the two
-    states of [1e40, 1e40], which coincide in double, do.  Returns the roots
-    in ascending order (floats, or 40-digit mpf in extended mode).
+    (:func:`_polish_fixed`, which raises NoConvergenceError when that
+    fails).  Returns the roots in ascending order (floats, or 40-digit mpf
+    in extended mode).
     """
     if V.b == 0:
         return []
@@ -759,16 +736,6 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     if not cfg.is_extended:
         return roots.tolist()
     polished, F = _polish_fixed(V.values, roots.tolist())
-    if None not in polished:
-        polished.sort()
-    ends = [-1 << F, *polished, 1 << F]
-    if None in polished or not all(
-        (z1 - z0) * _MP_STOP > 2 * abs(z1) for z0, z1 in zip(ends, ends[1:])
-    ):
-        raise NoConvergenceError(
-            "a 40-digit polished bound state has not converged, leaves (-1, 1) "
-            "or meets another"
-        )
     from mpmath import mp, mpf
 
     with mp.workdps(_MP_DPS):

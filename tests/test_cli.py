@@ -54,6 +54,14 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(dest.read_text())["b"] == 1
 
+    def test_out_into_missing_directory_is_input_error(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "analyze", "[2]", "--out", str(dest))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert not dest.exists()
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(capsys, "analyze", "[2]", "--precision", "ext")
         assert code == EXIT_OK
@@ -97,6 +105,17 @@ def test_rejected_tolerance_is_input_error(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "input error: tau_cluster must be at least tau_real\n"
+
+
+@pytest.mark.parametrize(
+    "flag", [["--tol-real", "nan"], ["--tol-cluster", "inf"]], ids=["nan", "inf"]
+)
+def test_non_finite_tolerance_is_input_error(capsys, flag):
+    # [2, -1] has two roots, which an infinite tau_cluster would merge
+    code, out, err = run(capsys, "analyze", "[2, -1]", *flag)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: all thresholds must be positive and finite\n"
 
 
 class TestSweep:
@@ -219,6 +238,14 @@ class TestDesign:
         assert err.startswith("numerical diagnostic:")
         assert "double precision" in err
 
+    @pytest.mark.parametrize("root", ["nan", "inf", "-inf"])
+    def test_b2_rejects_non_finite_root(self, capsys, root):
+        # only a trailing i marks an imaginary part, so inf parses as a float
+        code, out, err = run(capsys, "design", "b2", "--roots", f"{root},1,2")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("design error:") and "not finite" in err
+
     def test_b2_rejects_inconsistent(self, capsys):
         code, _, err = run(capsys, "design", "b2", "--roots", "0.3,0.6,5.0")
         assert code == EXIT_INPUT
@@ -292,7 +319,14 @@ class TestOracle:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize(
-        "flag", [["--size", "1"], ["--margin", "0"]], ids=["size", "margin"]
+        "flag",
+        [
+            ["--size", "1"],
+            ["--margin", "0"],
+            ["--alpha-filter", "nan"],
+            ["--alpha-filter", "0"],
+        ],
+        ids=["size", "margin", "alpha-filter-nan", "alpha-filter-0"],
     )
     def test_bad_flag_is_input_error(self, capsys, flag):
         code, out, err = run(capsys, "oracle", "[2]", *flag)

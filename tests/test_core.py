@@ -109,6 +109,16 @@ class TestNumericConfig:
         with pytest.raises(ValueError):
             NumericConfig(precision_mode="quad")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tau_real", math.nan), ("tau_cluster", math.inf), ("tau_edge", math.nan)],
+    )
+    def test_non_finite_thresholds(self, field, value):
+        # NaN passes every order comparison's negation, and an infinite
+        # tau_cluster merges every root into one cluster
+        with pytest.raises(ValueError, match="positive and finite"):
+            NumericConfig(**{field: value})
+
 
 class TestLoadPotential:
     def test_json_file(self, tmp_path):

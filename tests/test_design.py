@@ -125,6 +125,11 @@ class TestInverseB2:
         with pytest.raises(InconsistentRootsError):
             inverse_b2([0.3, 0.6, 5.0])
 
+    def test_overflowing_reciprocal_rejected(self):
+        # 1 / 1e-310 overflows, and the recovered values would be NaN
+        with pytest.raises(InconsistentRootsError):
+            inverse_b2([1e-310, 1.0, 2.0])
+
 
 class TestInverseB3:
     def test_round_trip(self):
@@ -177,3 +182,13 @@ class TestInverseB3:
     def test_wrong_root_count(self):
         with pytest.raises(ValueError):
             inverse_b3([0.5, -0.5, 2.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_non_finite_root_rejected(bad):
+    with pytest.raises(InconsistentRootsError, match="not finite"):
+        inverse_b2([bad, 1.0, 2.0])
+    with pytest.raises(InconsistentRootsError, match="not finite"):
+        inverse_b3([bad, 1.0, 2.0, 3.0])
+    with pytest.raises(InconsistentRootsError, match="not finite"):
+        verify_b3(validate_potential([1.0, -1.0, 2.0]), [bad, 1.0, 2.0, 3.0, 4.0])

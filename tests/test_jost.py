@@ -12,8 +12,6 @@ from latticejost.jost import (
     fg_decompose,
     jost_coefficients,
     jost_eval,
-    jost_eval_recursive,
-    jost_eval_recursive_pair,
     jost_solution,
     rouche_margin,
 )
@@ -163,34 +161,6 @@ class TestEvaluation:
             a = jost_solution(V, z)[0]
             c = jost_eval(p, z)
             assert abs(a - c) <= 1e-10 * max(1.0, abs(c))
-
-    def test_grid_matches_scalar(self):
-        # one kernel: an array evaluation is the float evaluation, point by point
-        xs = np.array([-0.9, -0.3, -1e-3, 0.2, 0.8, 0.999])
-        for b in (1, 3, 40):
-            v = list(np.random.default_rng(b).uniform(-3, 3, b))
-            grid = jost_eval_recursive(v, xs)
-            for x, g in zip(xs, grid):
-                assert g == jost_eval_recursive(v, float(x)), (b, x)
-
-    def test_mpf_matches_float(self):
-        from mpmath import mp, mpf
-
-        v = [1.0, -2.0, 0.5]
-        with mp.workdps(40):
-            for x in (-0.9, -0.3, 0.2, 0.8):
-                f = jost_eval_recursive([mpf(c) for c in v], mpf(x))
-                assert isinstance(f, mpf)
-                assert float(f) == pytest.approx(jost_eval_recursive(v, x), rel=1e-12)
-
-    def test_pair_derivative_matches_difference_quotient(self):
-        v = [1.0, -2.0, 0.5]
-        z = 0.37
-        f, df = jost_eval_recursive_pair(v, z)
-        h = 1e-6
-        fp = jost_eval_recursive(v, z + h)
-        fm = jost_eval_recursive(v, z - h)
-        assert df == pytest.approx((fp - fm) / (2 * h), rel=1e-8)
 
 
 class TestDecomposition:

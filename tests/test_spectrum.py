@@ -12,17 +12,15 @@ from latticejost.errors import (
     CountMismatchError,
     FloatOverflowError,
     NoConvergenceError,
-    NotABoundStateError,
     UnitCircleViolationError,
 )
 from latticejost.design import alternating_potential
-from latticejost.jost import JostPolynomial, jost_coefficients, jost_eval_recursive_pair
+from latticejost.jost import JostPolynomial, jost_coefficients
 from latticejost.spectrum import (
     _norm_c2,
     bound_state_scan,
     classify_zeros,
     find_zeros,
-    norming_constant_at,
     norming_constants,
     sign_diagnostics,
 )
@@ -32,6 +30,19 @@ CFG = NumericConfig()
 SQRT5 = math.sqrt(5)
 EX42_POTENTIAL = [-SQRT5, 4.0 / SQRT5]          # roots 1/2, -1/2, sqrt(5)
 EX42_DOUBLE = [-2.5 + math.sqrt(3), -0.5 + 1.0 / math.sqrt(3)]  # double root at 2
+
+
+def f0_pair(values, z):
+    """(f0(z), f0'(z)) in the arithmetic of z, for mpf reference values.
+
+    Differentiates f_(n-1) = (z + 1/z + V_n) f_n - f_(n+1) from f_b = z^b.
+    """
+    b = len(values)
+    f_next, f, d_next, d = z ** (b + 1), z**b, (b + 1) * z**b, b * z ** (b - 1)
+    for v in reversed(values):
+        w = z + 1 / z + v
+        f_next, f, d_next, d = f, w * f - f_next, d, w * d + (1 - z**-2) * f - d_next
+    return f, d
 
 
 def ledger_for(values, cfg=CFG):
@@ -292,7 +303,7 @@ class TestNormingConstants:
                 for bs in ext_states:
                     a = mpf(bs.alpha)
                     for _ in range(4):
-                        f, df = jost_eval_recursive_pair(mpv, a)
+                        f, df = f0_pair(mpv, a)
                         a -= f / df
                     ref = float(2 - a - 1 / a)
                     assert abs(bs.lam - ref) <= math.ulp(ref), values
@@ -365,11 +376,6 @@ class TestNormingConstants:
         bare = JostPolynomial(coeffs=p.coeffs, b=p.b)
         with pytest.raises(ValueError, match="p.values"):
             norming_constants(ledger, bare)
-
-    def test_not_a_bound_state(self):
-        ledger, p = ledger_for(EX42_POTENTIAL)
-        with pytest.raises(NotABoundStateError):
-            norming_constant_at(ledger, p, SQRT5)
 
 
 class TestSignDiagnostics:
@@ -551,8 +557,6 @@ class TestBoundStateScan:
         assert len(roots) == 60
 
     def test_extended_polish(self):
-        from latticejost.jost import jost_eval_recursive
-
         V = validate_potential(EX42_POTENTIAL)
         roots = bound_state_scan(V, NumericConfig.extended())
         assert [float(r) for r in roots] == pytest.approx([-0.5, 0.5], abs=1e-15)
@@ -562,7 +566,6 @@ class TestBoundStateScan:
         from mpmath import mp, mpf
 
         from latticejost.design import alternating_potential
-        from latticejost.jost import jost_eval_recursive, jost_eval_recursive_pair
 
         V = alternating_potential(b, 2.0)
         roots = bound_state_scan(V, NumericConfig.extended())
@@ -572,28 +575,20 @@ class TestBoundStateScan:
             mpv = [mpf(v) for v in V.values]
             for z, z_std in zip(roots, std):
                 assert float(z) == pytest.approx(z_std, abs=1e-14)
-                f, df = jost_eval_recursive_pair(mpv, z)
+                f, df = f0_pair(mpv, z)
                 z1 = z - f / df
                 # one more full Newton step moves the root by no more than the
                 # 1e-38 stopping tolerance; both residuals then sit at the
                 # 40-digit rounding floor, so they compare up to that floor
                 assert abs(z1 - z) <= mpf(10) ** -38 * abs(z)
                 floor = mpf(10) ** -38 * abs(z * df)
-                assert abs(f) <= abs(jost_eval_recursive(mpv, z1)) + floor
+                assert abs(f) <= abs(f0_pair(mpv, z1)[0]) + floor
 
     def test_extended_polish_matches_60_digit_newton(self):
-        # the reference differentiates f_(n-1) = (z + 1/z + V_n) f_n - f_(n+1)
-        # from f_b = z^b here, at 60 digits; the first input mixes exponents
-        # from 1e-30 to 2^-600, which the polish's fixed-point scale rounds
+        # the reference is f0_pair's Newton at 60 digits; the first input mixes
+        # exponents from 1e-30 to 2^-600, which the polish's fixed-point scale
+        # rounds
         from mpmath import mp, mpf
-
-        def f0_pair(values, z):
-            b = len(values)
-            f_next, f, d_next, d = z ** (b + 1), z**b, (b + 1) * z**b, b * z ** (b - 1)
-            for v in reversed(values):
-                w = z + 1 / z + v
-                f_next, f, d_next, d = f, w * f - f_next, d, w * d + (1 - z**-2) * f - d_next
-            return f, d
 
         rng = np.random.default_rng(13)
         inputs = [[3.0, 1e-30, -2.0, 2.0**-600, 2.5]]
@@ -619,7 +614,8 @@ class TestBoundStateScan:
         import latticejost.spectrum as spectrum
 
         monkeypatch.setattr(spectrum, "_MP_SIMPLIFIED_STEPS", 0)
-        assert spectrum._polish_fixed([-1 / (1 + 1e-9)], [1 - 1e-9])[0] == [None]
+        with pytest.raises(NoConvergenceError):
+            spectrum._polish_fixed([-1 / (1 + 1e-9)], [1 - 1e-9])
         polished, F = spectrum._polish_fixed([2.0], [-0.49999999])
         assert polished == [-1 << (F - 1)]
 
