@@ -3,7 +3,9 @@
 The Jost solution of the lattice equation equals z^n beyond the potential
 support; marching the three-term recursion down to the boundary site yields
 the Jost function f0(z), a polynomial of degree 2b - 1 with constant term 1
-and leading coefficient V_b.
+and leading coefficient V_b.  Its coefficients are integer polynomials in
+V_1..V_b, and every float is dyadic, so :func:`jost_coefficients` builds them
+exactly on Python ints over one power of two and rounds each once to float.
 
 Two evaluation routes are provided on purpose:
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import Potential
@@ -35,83 +38,86 @@ __all__ = [
 ]
 
 
-def _exact(v: float):
-    # floats are exactly representable as rationals; prefer int when possible
-    if float(v).is_integer():
-        return int(v)
-    return Fraction(v)
+def _dyadic(xs: Sequence[float]) -> tuple[list[int], int]:
+    """Ints m and one shift E >= 0 with x = m / 2^E for every float x (all dyadic)."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    E = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    return [n << (E + 1 - d.bit_length()) for n, d in ratios], E
 
 
-def _coefficient_recursion(values: Sequence) -> list:
-    """Exact shift-and-add recursion for the coefficients of f0.
+def _int_coefficients(values: Sequence[float]) -> tuple[list[int], int]:
+    """Exact coefficients of f0 as ints c_j and a shift: f0 = sum c_j z^j / 2^shift.
 
-    Works over any commutative ring (ints, Fractions, floats, mpf).  The
-    auxiliary polynomial g_n = z^(b-n) f_n keeps every intermediate free of
-    negative powers: g_{n-1} = -z^2 g_{n+1} + (z^2 + V_n z + 1) g_n with
-    g_{b+1} = g_b = z^b, and finally f0 = g_0 / z^b.
+    With V_n = m_n / S for S = 2^E, the auxiliary polynomials
+    h_n = S^(b-n) z^(b-n) f_n are integral and obey the shift-and-add step
+    h_(n-1) = -S^2 z^2 h_(n+1) + (S z^2 + m_n z + S) h_n from h_b = z^b.
+    h_(b+1) = z^b / S is not integral, so the loop carries u = S h_(n+1),
+    which starts at z^b: the first step uses S z^b for S^2 h_(b+1).
+    Finally f0 = h_0 / (S z)^b, so the shift is E b.  Lists hold the
+    coefficients of z^b, z^(b+1), ...
     """
-    b = len(values)
-    if b == 0:
-        return [1]
-    size = 3 * b + 3
-    zero = values[0] - values[0]
-    one = zero + 1
-    g_next = [zero] * size
-    g_next[b] = one
-    g_cur = list(g_next)
-    for n in range(b, 0, -1):
-        vn = values[n - 1]
-        g_prev = [zero] * size
-        for j in range(size - 2):
-            c = g_cur[j]
-            if c != zero:
-                g_prev[j] = g_prev[j] + c
-                g_prev[j + 1] = g_prev[j + 1] + vn * c
-                g_prev[j + 2] = g_prev[j + 2] + c
-        for j in range(size - 2):
-            c = g_next[j]
-            if c != zero:
-                g_prev[j + 2] = g_prev[j + 2] - c
-        g_next, g_cur = g_cur, g_prev
-    return g_cur[b : b + 2 * b]
+    ms, E = _dyadic(values)
+    h, u = [1], [1]
+    for m in reversed(ms):
+        h, u = [
+            ((c + c2 - s) << E) + m * c1
+            for c, c1, c2, s in zip([*h, 0, 0], [0, *h, 0], [0, 0, *h], [0, 0, *u, 0, 0])
+        ], [c << E for c in h]
+    return h[: max(1, 2 * len(ms))], E * len(ms)
 
 
 @dataclass(frozen=True)
 class JostPolynomial:
     """Coefficient vector of f0(z); index j holds the coefficient of z^j.
 
-    ``exact`` carries the same coefficients as exact rationals (the
-    recursion is integer-combinatorial in the potential values), used by
-    the extended-precision root path; ``values`` is the potential V_1..V_b
-    they were built from, which the norming constants' recursion needs.
+    ``ints`` and ``shift`` carry the same coefficients exactly, as
+    ``ints[j] / 2^shift`` (the recursion is integer-combinatorial in the
+    dyadic potential values); the extended-precision root path works on
+    them.  ``exact`` views them as ints when every V_n is an integer and as
+    Fractions otherwise.  ``values`` is the potential V_1..V_b they were
+    built from, which the norming constants' recursion needs.
     """
 
     coeffs: tuple[float, ...]
     b: int
-    exact: tuple = ()
+    ints: tuple[int, ...] = ()
+    shift: int = 0
     values: tuple[float, ...] = ()
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def exact(self) -> tuple:
+        if self.shift == 0:
+            return self.ints
+        return tuple(Fraction(c, 1 << self.shift) for c in self.ints)
+
+
+def _polynomial(ints: Sequence[int], shift: int, values: tuple[float, ...]) -> JostPolynomial:
+    """Round the exact coefficients once to float; int true division rounds correctly."""
+    scale = 1 << shift
+    try:
+        coeffs = tuple(c / scale for c in ints)
+    except OverflowError as exc:
+        bits = max((abs(c) >> shift).bit_length() for c in ints)
+        raise FloatOverflowError(
+            f"Jost coefficients reach 2^{bits}, beyond double precision"
+        ) from exc
+    return JostPolynomial(
+        coeffs=coeffs, b=len(values), ints=tuple(ints), shift=shift, values=values
+    )
+
 
 def jost_coefficients(V: Potential) -> JostPolynomial:
     """Coefficients of the Jost function for a compactly supported potential.
 
-    Computed exactly in rational arithmetic (float inputs are dyadic
+    Computed exactly in integer arithmetic (float inputs are dyadic
     rationals), then rounded once to float.  For b = 0 this is the constant
     polynomial 1.
     """
-    exact = tuple(_coefficient_recursion([_exact(v) for v in V.values]))
-    try:
-        coeffs = tuple(float(c) for c in exact)
-    except OverflowError as exc:
-        bits = max(int(abs(c)).bit_length() for c in exact)
-        raise FloatOverflowError(
-            f"Jost coefficients reach 2^{bits}, beyond double precision"
-        ) from exc
-    return JostPolynomial(coeffs=coeffs, b=V.b, exact=exact, values=V.values)
+    return _polynomial(*_int_coefficients(V.values), V.values)
 
 
 def _mirrored(p: JostPolynomial) -> JostPolynomial:
@@ -120,14 +126,12 @@ def _mirrored(p: JostPolynomial) -> JostPolynomial:
     The floats are rounded from the negated exact values, so they equal
     jost_coefficients(V.negated()) bit for bit (an exact zero stays 0.0).
     """
-
-    def flip(cs):
-        return tuple(-c if j % 2 else c for j, c in enumerate(cs))
-
-    exact = flip(p.exact)
-    coeffs = tuple(float(c) for c in exact) if exact else flip(p.coeffs)
     values = tuple(-v for v in p.values)
-    return JostPolynomial(coeffs=coeffs, b=p.b, exact=exact, values=values)
+    if not p.ints:
+        coeffs = tuple(-c if j % 2 else c for j, c in enumerate(p.coeffs))
+        return JostPolynomial(coeffs=coeffs, b=p.b, values=values)
+    ints = [-c if j % 2 else c for j, c in enumerate(p.ints)]
+    return _polynomial(ints, p.shift, values)
 
 
 def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:

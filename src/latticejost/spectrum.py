@@ -26,7 +26,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
     NoConvergenceError,
     UnitCircleViolationError,
 )
-from .jost import JostPolynomial, jost_eval, jost_eval_derivative
+from .jost import JostPolynomial, _dyadic, jost_eval, jost_eval_derivative
 
 __all__ = [
     "ClassifiedZero",
@@ -121,21 +120,24 @@ def _fixed_bits(roots: Sequence[complex], dps: int) -> int:
     return F + max([0] + [-(math.frexp(abs(z))[1] + 40) for z in roots])
 
 
-def _fixed_scales(coeffs: Sequence, roots: Sequence[complex], dps: int) -> tuple[int, int]:
-    """Fraction bits (F, C) of the roots and of the coefficients of p.
+def _fixed_scales(
+    ints: Sequence[int], shift: int, roots: Sequence[complex], dps: int
+) -> tuple[int, int]:
+    """Fraction bits (F, C) of the roots and of the coefficients ints / 2^shift of p.
 
     F is :func:`_fixed_bits`.  The coefficients carry C - F more bits when
     the leading one is below 1/2, which lifts it to at least 1/2: with the
     constant term 1 of f0, p then keeps dps digits relative to its size
-    inside and outside the unit circle alike.
+    inside and outside the unit circle alike.  The lift is the bit length
+    of the leading coefficient's denominator minus its numerator's, in
+    lowest terms: shift + 1 minus the leading int's bit length.
     """
     F = _fixed_bits(roots, dps)
-    n, d = coeffs[-1].as_integer_ratio()
-    return F, F + max(0, d.bit_length() - abs(n).bit_length())
+    return F, F + max(0, shift + 1 - abs(ints[-1]).bit_length())
 
 
-def _fixed(c, F: int) -> int:
-    """round(c * 2^F) for an exact int, Fraction or float c."""
+def _fixed(c: float, F: int) -> int:
+    """round(c * 2^F) for a float c."""
     n, d = c.as_integer_ratio()
     return ((n << (F + 1)) // d + 1) >> 1
 
@@ -165,23 +167,27 @@ def _horner_fixed(desc: Sequence[int], zr: int, zi: int, F: int) -> tuple[int, i
     return pr, pi, dr, di
 
 
-def _aberth(coeffs_exact: Sequence, seeds: list[complex], dps: int = 50, maxit: int = 120):
+def _aberth(
+    ints: Sequence[int], shift: int, seeds: list[complex], dps: int = 50, maxit: int = 120
+):
     """Simultaneous Aberth-Ehrlich refinement to about dps digits.
 
     The arithmetic is fixed point: exact Python ints scaled by 2^F, with
     F = ceil(dps log2 10) + 40 unless a seed is tinier than 2^-40, and f0
-    evaluated by :func:`_horner_fixed` from the exactly rounded coefficients
-    (see :func:`_fixed_scales`).  Each pass updates every root from the
-    previous pass's roots; it stops once every correction is below
-    10^-(dps-8) in absolute value.  The roots come back as correctly
-    rounded complex values.
+    evaluated by :func:`_horner_fixed` from its exact coefficients
+    ints / 2^shift, rounded to scale 2^C (see :func:`_fixed_scales`).  Each
+    pass updates every root from the previous pass's roots; it stops once
+    every correction is below 10^-(dps-8) in absolute value.  The roots come
+    back as correctly rounded complex values.
     """
-    F, C = _fixed_scales(coeffs_exact, seeds, dps)
-    desc = [_fixed(c, C) for c in reversed(coeffs_exact)]
-    # tiny deterministic shear so that coincident double seeds separate
+    F, C = _fixed_scales(ints, shift, seeds, dps)
+    up = C + 1 - shift  # round(c 2^(C - shift)): floor at one more bit, then halve
+    desc = [((c << up if up >= 0 else c >> -up) + 1) >> 1 for c in reversed(ints)]
+    # tiny deterministic shear so that coincident double seeds separate:
+    # round((k + 1) 10^-14 2^F)
     roots = []
     for k, z in enumerate(seeds):
-        shear = _fixed(Fraction(k + 1, 10**14), F)
+        shear = (((k + 1) << (F + 1)) // 10**14 + 1) >> 1
         roots.append((_fixed(z.real, F) + shear, _fixed(z.imag, F) + shear))
     n = len(roots)
     one = 1 << F
@@ -260,8 +266,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
         raise FloatOverflowError("a root of the Jost polynomial leaves double range")
 
     if cfg.is_extended:
-        exact = p.exact if p.exact else p.coeffs
-        polished = [complex(z) for z in _aberth(exact, polished)]
+        ints, shift = (p.ints, p.shift) if p.ints else _dyadic(p.coeffs)
+        polished = [complex(z) for z in _aberth(ints, shift, polished)]
         polished = [
             complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in polished
         ]

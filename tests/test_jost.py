@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticejost.core import Potential, validate_potential
-from latticejost.errors import ZeroArgumentError
+from latticejost.errors import FloatOverflowError, ZeroArgumentError
 from latticejost.jost import (
+    _int_coefficients,
     _mirrored,
     fg_decompose,
     jost_coefficients,
@@ -112,6 +114,57 @@ def test_mirrored_equals_negated_build(values):
     assert got.exact == want.exact
     assert [type(c) for c in got.exact] == [type(c) for c in want.exact]
     assert got.values == want.values
+
+
+def _fraction_recursion(values) -> list:
+    """Reference coefficients of f0 in exact Fraction arithmetic.
+
+    g_n = z^(b-n) f_n: g_(n-1) = -z^2 g_(n+1) + (z^2 + V_n z + 1) g_n with
+    g_(b+1) = g_b = z^b, and f0 = g_0 / z^b.
+    """
+    b = len(values)
+    size = 3 * b + 3
+    g_next = [Fraction(0)] * size
+    g_next[b] = Fraction(1)
+    g_cur = list(g_next)
+    for v in map(Fraction, reversed(values)):
+        g_prev = [Fraction(0)] * size
+        for j in range(size - 2):
+            g_prev[j] += g_cur[j]
+            g_prev[j + 1] += v * g_cur[j]
+            g_prev[j + 2] += g_cur[j] - g_next[j]
+        g_next, g_cur = g_cur, g_prev
+    return g_cur[b : b + max(1, 2 * b)]
+
+
+KERNEL_PANEL = _parity_panel() + [
+    pytest.param([5e-324], id="subnormal"),
+    pytest.param([1.0, 5e-324], id="one-subnormal"),
+    pytest.param([3.0, 1e-30, -2.0, 2**-600, 2.5], id="mixed-exponents"),
+    pytest.param([1e300, 1e300], id="overflow"),
+]
+
+
+@pytest.mark.parametrize("values", KERNEL_PANEL)
+def test_int_kernel_matches_fraction_reference(values):
+    ref = _fraction_recursion(values)
+    ints, shift = _int_coefficients(values)
+    assert [Fraction(c, 1 << shift) for c in ints] == ref
+    try:
+        want = [float(c) for c in ref]
+    except OverflowError:
+        with pytest.raises(FloatOverflowError):
+            jost_coefficients(validate_potential(values))
+        return
+    p = jost_coefficients(validate_potential(values))
+    assert p.exact == tuple(ref)
+    # float.hex tells -0.0 from 0.0
+    assert [c.hex() for c in p.coeffs] == [c.hex() for c in want]
+
+
+def test_kernel_overflow_names_the_bits():
+    with pytest.raises(FloatOverflowError, match=r"2\^1329,"):
+        jost_coefficients(validate_potential([1e200, 1e200]))
 
 
 class TestEvaluation:
