@@ -75,7 +75,8 @@ class JostPolynomial:
     dyadic potential values); the extended-precision root path works on
     them.  ``exact`` views them as ints when every V_n is an integer and as
     Fractions otherwise.  ``values`` is the potential V_1..V_b they were
-    built from, which the norming constants' recursion needs.
+    built from, which the root finder and the norming constants' recursion
+    need.
     """
 
     coeffs: tuple[float, ...]
@@ -126,12 +127,8 @@ def _mirrored(p: JostPolynomial) -> JostPolynomial:
     The floats are rounded from the negated exact values, so they equal
     jost_coefficients(V.negated()) bit for bit (an exact zero stays 0.0).
     """
-    values = tuple(-v for v in p.values)
-    if not p.ints:
-        coeffs = tuple(-c if j % 2 else c for j, c in enumerate(p.coeffs))
-        return JostPolynomial(coeffs=coeffs, b=p.b, values=values)
     ints = [-c if j % 2 else c for j, c in enumerate(p.ints)]
-    return _polynomial(ints, p.shift, values)
+    return _polynomial(ints, p.shift, tuple(-v for v in p.values))
 
 
 def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:
@@ -140,15 +137,6 @@ def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:
     acc = 0.0 + 0.0j
     for c in reversed(coeffs):
         acc = acc * z + c
-    return acc
-
-
-def jost_eval_derivative(p: JostPolynomial | Sequence[float], z: complex) -> complex:
-    """Horner evaluation of d f0 / dz at z."""
-    coeffs = p.coeffs if isinstance(p, JostPolynomial) else p
-    acc = 0.0 + 0.0j
-    for j in range(len(coeffs) - 1, 0, -1):
-        acc = acc * z + j * coeffs[j]
     return acc
 
 

@@ -1,9 +1,12 @@
 """Root finding and spectral classification of the Jost polynomial.
 
-Roots are located by balanced companion-matrix eigenvalues, polished by
-Newton steps, merged into multiplicity clusters, and then binned by the
-interval scheme: bound states in (-1,0) and (0,1), real resonances beyond
-+-1, exceptional zeros at +-1, and complex pairs outside the unit circle.
+Roots are found from the potential itself: the eigenvalues of one
+(2b - 1)-square linearization of the quadratic eigenproblem behind f0, each
+polished by Newton steps on the Jost recursion in the chart (z inside the
+unit circle, 1/z outside) where that recursion is stable.  They are then
+merged into multiplicity clusters and binned by the interval scheme: bound
+states in (-1,0) and (0,1), real resonances beyond +-1, exceptional zeros at
++-1, and complex pairs outside the unit circle.
 
 In extended precision :func:`find_zeros` refines the roots from the exact
 coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
@@ -33,12 +36,11 @@ import numpy as np
 from .core import NumericConfig, Potential
 from .errors import (
     CountMismatchError,
-    DegenerateDegreeError,
     FloatOverflowError,
     NoConvergenceError,
     UnitCircleViolationError,
 )
-from .jost import JostPolynomial, _dyadic, jost_eval, jost_eval_derivative
+from .jost import JostPolynomial
 
 __all__ = [
     "ClassifiedZero",
@@ -63,24 +65,6 @@ COMPLEX_PAIR = "ComplexPair"
 
 # ---------------------------------------------------------------------------
 # root finding
-
-
-def _newton_polish(coeffs: Sequence[float], z: complex, steps: int = 12) -> complex:
-    """Horner-Newton refinement; a step is kept only if |f| does not grow."""
-    f = jost_eval(coeffs, z)
-    for _ in range(steps):
-        dp = jost_eval_derivative(coeffs, z)
-        if dp == 0:
-            break
-        step = f / dp
-        cand = z - step
-        fc = jost_eval(coeffs, cand)
-        if abs(fc) >= abs(f):
-            break
-        z, f = cand, fc
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
-            break
-    return z
 
 
 def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
@@ -198,6 +182,8 @@ def _aberth(
         for k, (zkr, zki) in enumerate(roots):
             for j in range(k + 1, n):
                 er, ei = zkr - roots[j][0], zki - roots[j][1]
+                if not (er or ei):
+                    raise NoConvergenceError("two Aberth iterates have met")
                 q = (1 << 3 * F) // (er * er + ei * ei)  # 2^F / |e|^2
                 ir, ii = (er * q) >> F, -((ei * q) >> F)
                 sr[k] += ir
@@ -224,50 +210,248 @@ def _aberth(
     return [complex(zr / one, zi / one) for zr, zi in roots]
 
 
+def _linearization(values: Sequence[float]) -> np.ndarray:
+    """The (2b - 1)-square matrix whose eigenvalues are the zeros of f0.
+
+    With K = tridiag(1, -V, 1) and M = I - e_b e_b^T, f0(z) = 0 exactly when
+    (z^2 M - z K + I) x = 0 for some x != 0 (x_n = f_n, the Jost solution;
+    Tisseur & Meerbergen, SIAM Review 43, 2001).  The unknowns are
+    x_1..x_(b-1) and u = z x, and the rows read z x_n = u_n and
+    z u_n = (K u)_n - x_n for n < b.  Row b says x_b = (K u)_b, so x_b drops
+    out, and z u_b = ((K u)_(b-1) - x_(b-1) - u_b) / V_b is the last row.
+    Only that row divides, by the leading coefficient V_b of f0, which keeps
+    the zeros far outside the unit circle that a tiny V_b brings.
+    """
+    b = len(values)
+    A = np.zeros((2 * b - 1, 2 * b - 1))
+    n = np.arange(b - 1)
+    u = n + b - 1  # the column of u_(n+1)
+    A[n, u] = 1.0
+    A[u, n] = -1.0
+    A[u, u] = -np.asarray(values[:-1])
+    A[u[1:], u[:-1]] = 1.0
+    A[u, u + 1] = 1.0
+    A[-1] = A[-2] if b > 1 else 0.0
+    A[-1, -1] -= 1.0
+    A[-1] /= values[-1]
+    return A
+
+
+def _mag(z: complex) -> float:
+    """|z| as a float, inf where abs() would raise OverflowError."""
+    return math.hypot(z.real, z.imag)
+
+
+def _inside(z: complex) -> bool:
+    """Whether |z| <= 1, the chart test of :func:`_jost_residual`."""
+    return z.real * z.real + z.imag * z.imag <= 1.0
+
+
+def _jost_residual(values: Sequence[float], z: complex) -> tuple[complex, complex]:
+    """f0(z) / max(1, |z|)^(2b - 1) and its slope in the chart variable.
+
+    z is taken in the chart where the Jost recursion is stable.  For
+    |z| <= 1 the chart variable is s = z and k_n = f_n / z^n runs down from
+    k_b = k_(b+1) = 1 by k_(n-1) - k_n = z V_n k_n + z^2 (k_n - k_(n+1)), so
+    k_0 = f0(z).  Outside it is s = t = 1/z and the Dirichlet solution
+    scaled by t^(n-1), phi_0 = 0, phi_1 = 1, runs up by the same step in t;
+    t^(2b-1) f0(1/t) = V_b phi_b + t (phi_b - phi_(b-1)) (Teschl, Jacobi
+    Operators and Completely Integrable Nonlinear Lattices, AMS 2000).  Both
+    steps carry the first differences, not the values, and divide by
+    nothing, so z = 0 is a valid point.
+    """
+    inside = _inside(z)
+    if inside:
+        s, vals, k, d = z, values[::-1], 1.0, 0.0
+    else:
+        s, vals, k, d = 1.0 / z, values, 1.0, 1.0
+    s2, s_2, dk, dd = s * s, 2.0 * s, 0.0, 0.0
+    for v in vals[:-1]:
+        sv = s * v
+        dd = v * k + sv * dk + s_2 * d + s2 * dd
+        d = sv * k + s2 * d
+        k += d
+        dk += dd
+    v = vals[-1]
+    w, dw = v * k + s * d, v * dk + d + s * dd
+    return (k + s * w, dk + w + s * dw) if inside else (w, dw)
+
+
+def _jost_newton(values: Sequence[float], z: complex, steps: int = 12) -> tuple[complex, bool]:
+    """Newton on :func:`_jost_residual` from z, in the chart of each iterate.
+
+    A step is kept only if it leaves z finite and lowers |residual|; the
+    residual is continuous across |z| = 1, so a root may change chart.  The
+    polish stops at its first rejected step or after a kept step below 1e-9
+    of the chart variable, as a simple root's quadratic convergence then
+    leaves an error below rounding.  Returns the root and whether it has
+    converged: whether its last Newton correction is below 1e-6 of the
+    chart variable, which a double root's noise-limited polish also meets.
+    """
+    F, dF = _jost_residual(values, z)
+    for _ in range(steps):
+        if not dF:
+            break
+        inside = _inside(z)
+        s = z if inside else 1.0 / z
+        step = F / dF
+        cand = s - step
+        if not inside:
+            if not cand:
+                break
+            cand = 1.0 / cand
+        if not cmath.isfinite(cand):
+            break
+        Fc, dFc = _jost_residual(values, cand)
+        if not _mag(Fc) < _mag(F):
+            break
+        z, F, dF = cand, Fc, dFc
+        if _mag(step) <= 1e-9 * _mag(s):
+            break
+    s = z if _inside(z) else 1.0 / z
+    return z, not F or (dF != 0 and _mag(F / dF) <= 1e-6 * _mag(s))
+
+
+def _jost_aberth(
+    values: Sequence[float], roots: Sequence[complex], maxit: int = 100
+) -> list[complex]:
+    """Aberth-Ehrlich steps on the Jost recursion in double, from roots.
+
+    Each root z moves by N / (1 - N S), with N = f0 / f0' from
+    :func:`_jost_residual` (z G / ((2b - 1) G - t G') in the outside chart,
+    where f0(z) = z^(2b-1) G(1/z)) and S the sum of 1 / (z - z_j) over the
+    other roots, the latest of each.  The S term keeps the roots apart, so
+    they reach every zero from any distinct start.  A root stops once its
+    step is below 4e-16 of it; a step that divides by zero leaves it as is.
+    """
+    z, n = list(roots), len(roots)
+    live = list(range(n))
+    for _ in range(maxit):
+        if not live:
+            break
+        for k in list(live):
+            zk = z[k]
+            F, dF = _jost_residual(values, zk)
+            try:
+                N = F / dF if _inside(zk) else zk * F / (n * F - dF / zk)
+                c = N / (1.0 - N * sum(1.0 / (zk - zj) for j, zj in enumerate(z) if j != k))
+            except ZeroDivisionError:
+                live.remove(k)
+                continue
+            z[k] = zk - c
+            if _mag(c) <= 4e-16 * _mag(z[k]):
+                live.remove(k)
+    return z
+
+
+def _hull_seeds(ints: Sequence[int]) -> list[complex]:
+    """Starting points for :func:`_jost_aberth` from the Newton polygon of f0.
+
+    Each edge of the upper convex hull of (j, log2 |c_j|) from j to k puts
+    k - j points on the circle of radius (|c_j| / |c_k|)^(1 / (k - j)), the
+    moduli of the roots that edge stands for (Bini, Numer. Algorithms 13,
+    1996).  Only the exact coefficients' sizes enter, so the seeds hold
+    however far apart the roots are.  A radius beyond double range raises
+    OverflowError.
+    """
+    hull: list[tuple[int, float]] = []
+    for k, lk in [(j, math.log2(abs(c))) for j, c in enumerate(ints) if c]:
+        # drop the last vertex while it lies on or below the chord to (k, lk)
+        while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (lk - hull[-2][1]) >= (
+            hull[-1][1] - hull[-2][1]
+        ) * (k - hull[-2][0]):
+            hull.pop()
+        hull.append((k, lk))
+    seeds = []
+    for (j, lj), (k, lk) in zip(hull, hull[1:]):
+        r = 2.0 ** ((lj - lk) / (k - j))
+        seeds += [
+            r * cmath.exp(1j * (2 * math.pi * (m / (k - j) + j / len(ints)) + 0.7))
+            for m in range(k - j)
+        ]
+    return seeds
+
+
+def _polish(
+    values: Sequence[float], seeds: Sequence[complex], tau_real: float
+) -> tuple[list[complex], bool]:
+    """Newton-polished roots from conjugate-closed seeds, and whether all converged.
+
+    A seed with |Im| below tau_real is taken as real and polished in real
+    arithmetic.  Of a nonreal pair only the member with Im > 0 is polished;
+    the other is its exact conjugate, as complex *, / and abs are
+    conjugate-symmetric in floating point.
+    """
+    polished: list[complex] = []
+    converged = True
+    for seed in seeds:
+        if abs(seed.imag) < tau_real:
+            z, ok = _jost_newton(values, seed.real)
+            polished.append(complex(z.real))
+        elif seed.imag > 0.0:
+            z, ok = _jost_newton(values, seed)
+            polished += [complex(z.real)] * 2 if abs(z.imag) < tau_real else [z.conjugate(), z]
+        else:
+            continue
+        converged &= ok
+    return polished, converged
+
+
 def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int]]:
     """All roots of the Jost polynomial, clustered by multiplicity.
 
     Returns (root, multiplicity) pairs; multiplicities sum to the degree.
-    The companion eigenvalues come from LAPACK's real nonsymmetric solver,
-    which returns each nonreal pair as exact conjugates (x, +-y).  Only the
-    member with Im > 0 is polished; the other is its exact conjugate, as
-    complex *, / and abs are conjugate-symmetric in floating point.
+    The roots come from the potential, never from the rounded coefficients:
+    they are the eigenvalues of :func:`_linearization`, built from p.values,
+    each polished by :func:`_jost_newton` on the Jost recursion
+    (:func:`_polish`).  So p must carry its potential values, as
+    :func:`jost_coefficients` builds it.  LAPACK's real nonsymmetric solver
+    returns each nonreal pair as exact conjugates (x, +-y).
 
-    A leading coefficient so small that the companion matrix (the other
-    coefficients divided by it) leaves double range, or a root that does
-    after polishing, raises FloatOverflowError in either precision.
+    The eigensolver loses the roots that lie far below the matrix's scale,
+    which a potential spanning many orders of magnitude brings.  When a
+    polish does not converge, all roots start again from the Newton polygon
+    of the exact coefficients (:func:`_hull_seeds`), move by Aberth steps on
+    the Jost recursion (:func:`_jost_aberth`) and are polished once more; if
+    a polish still does not converge, NoConvergenceError.  Extended
+    precision, and a restart in either precision, then refine all roots by
+    :func:`_aberth` on the exact coefficients p.ints, so a restart's roots
+    are correctly rounded.
+
+    A leading coefficient V_b so small that the matrix's last row leaves
+    double range, or a root beyond double range, raises FloatOverflowError
+    in either precision; an eigensolver that does not converge raises
+    NoConvergenceError.
     """
-    degree = p.degree
-    if degree == 0:
+    if p.b == 0:
         return []
-    lead = p.coeffs[-1]
-    if lead == 0.0:
-        raise DegenerateDegreeError("leading Jost coefficient is zero")
-    if not all(math.isfinite(c / lead) for c in p.coeffs):
+    values = p.values
+    lead = values[-1]
+    if not all(math.isfinite(v / lead) for v in (1.0, *values[-2:])):
         raise FloatOverflowError(
             f"leading Jost coefficient {lead!r} puts the companion matrix "
             "beyond double precision"
         )
+    try:
+        raw = np.sort(np.linalg.eigvals(_linearization(values)))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"the eigensolver failed: {exc}") from exc
+    polished, converged = _polish(values, list(map(complex, raw)), cfg.tau_real)
+    restarted = not converged
+    if restarted:
+        try:
+            roots = _jost_aberth(values, _hull_seeds(p.ints))
+        except OverflowError as exc:
+            raise FloatOverflowError(
+                "a root of the Jost polynomial leaves double range"
+            ) from exc
+        seeds = [complex(z.real) if abs(z.imag) <= 1e-8 * _mag(z) else z for z in roots]
+        polished, converged = _polish(values, seeds, cfg.tau_real)
+        if not converged:
+            raise NoConvergenceError("the roots of the Jost polynomial have not converged")
 
-    raw = np.polynomial.polynomial.polyroots(np.asarray(p.coeffs, dtype=float))
-    polished: list[complex] = []
-    for z in map(complex, raw):
-        if abs(z.imag) < cfg.tau_real:
-            z = _newton_polish(p.coeffs, complex(z.real))
-            polished.append(complex(z.real) if abs(z.imag) < cfg.tau_real else z)
-        elif z.imag > 0:
-            z = _newton_polish(p.coeffs, z)
-            if abs(z.imag) < cfg.tau_real:
-                polished += [complex(z.real)] * 2
-            else:
-                # polyroots sorts the eigenvalues, so the Im < 0 member comes first
-                polished += [z.conjugate(), z]
-    if not all(cmath.isfinite(z) for z in polished):
-        raise FloatOverflowError("a root of the Jost polynomial leaves double range")
-
-    if cfg.is_extended:
-        ints, shift = (p.ints, p.shift) if p.ints else _dyadic(p.coeffs)
-        polished = [complex(z) for z in _aberth(ints, shift, polished)]
+    if cfg.is_extended or restarted:
+        polished = [complex(z) for z in _aberth(p.ints, p.shift, polished)]
         polished = [
             complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in polished
         ]

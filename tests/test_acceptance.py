@@ -23,8 +23,10 @@ from latticejost.laws import (
     check_count_identity,
     check_resonance_inequalities,
     check_sign_flip_symmetry,
+    evaluate_laws,
 )
 from latticejost.oracle import match_energies, oracle_bound_states
+from latticejost.report import analyze
 from latticejost.spectrum import (
     bound_state_scan,
     classify_zeros,
@@ -182,6 +184,30 @@ def test_alternating_sweep_full_count():
         failures,
         f"std 1..40 in {std_s:.1f}s, ext 1..110 in {ext_s:.1f}s",
     )
+
+
+def test_large_support_verdicts_hold():
+    """Std verdicts hold at b = 40, 60, 110, with N equal to the pivot count."""
+    rng = np.random.default_rng(SEED)
+    failures = []
+    for b in (40, 60, 110):
+        for _ in range(5):
+            V = validate_potential(list(rng.uniform(-3.0, 3.0, b)))
+            report = analyze(V, CFG)
+            n_scan = len(bound_state_scan(V, CFG))
+            if not report.verdicts.all_theorems_hold or report.ledger.N != n_scan:
+                failures.append(f"b={b}: N={report.ledger.N} vs scan {n_scan}")
+    # at amplitude 50 the states near -+1/50 lie closer than tau_cluster, so
+    # analyze stops at their norming constants with a typed FloatOverflowError
+    # (with a tighter tau_cluster the deepest c^2 leave double range); the
+    # ledger and the laws run alone
+    for amplitude in (2.0, 50.0):
+        V = alternating_potential(110, amplitude)
+        ledger, p, _ = _ledger(V.values)
+        verdicts = evaluate_laws(V, p, ledger, CFG)
+        if not verdicts.all_theorems_hold or not ledger.N == len(bound_state_scan(V, CFG)) == 110:
+            failures.append(f"alternating {amplitude}: N={ledger.N}")
+    _verdict("large-support verdicts", failures, "15 draws and 2 alternating at b <= 110")
 
 
 def test_random_potential_invariants():

@@ -16,7 +16,10 @@ from latticejost.errors import (
 )
 from latticejost.design import alternating_potential
 from latticejost.jost import JostPolynomial, jost_coefficients
+from latticejost.report import analyze
 from latticejost.spectrum import (
+    _jost_aberth,
+    _linearization,
     _norm_c2,
     bound_state_scan,
     classify_zeros,
@@ -53,7 +56,7 @@ def ledger_for(values, cfg=CFG):
 
 class TestFindZeros:
     def test_linear(self):
-        p = JostPolynomial(coeffs=(1.0, 2.0), b=1)
+        p = jost_coefficients(validate_potential([2.0]))
         roots = find_zeros(p, CFG)
         assert roots == [(-0.5, 1)]
 
@@ -106,9 +109,7 @@ REFERENCE_POTENTIALS = [
 ]
 
 
-@pytest.mark.parametrize("values", REFERENCE_POTENTIALS)
-def test_extended_roots_match_independent_reference(values):
-    cfg = NumericConfig.extended()
+def _assert_roots_match_reference(values, cfg):
     p = jost_coefficients(validate_potential(values))
     got = [z for z, m in find_zeros(p, cfg) for _ in range(m)]
     want = _polyroots_reference(p, cfg)
@@ -117,6 +118,18 @@ def test_extended_roots_match_independent_reference(values):
         i = min(range(len(want)), key=lambda i: abs(want[i] - z))
         assert abs(want[i] - z) <= 1e-15 * abs(want[i]), (z, want[i])
         want.pop(i)
+
+
+@pytest.mark.parametrize("values", REFERENCE_POTENTIALS)
+def test_extended_roots_match_independent_reference(values):
+    _assert_roots_match_reference(values, NumericConfig.extended())
+
+
+@pytest.mark.parametrize("values", REFERENCE_POTENTIALS)
+def test_std_roots_match_independent_reference(values):
+    # the double roots come from V, not from the rounded coefficients, so
+    # they hold the extended tolerance too
+    _assert_roots_match_reference(values, CFG)
 
 
 def test_extended_root_far_inside_unit_circle():
@@ -131,12 +144,32 @@ def test_extended_root_far_inside_unit_circle():
     ids=["[1, 5e-324]", "[5e-324, 5e-324]", "[5e-324]"],
 )
 def test_subnormal_leading_coefficient_is_typed(values, cfg):
-    # the companion matrix divides by the leading coefficient 5e-324 and
-    # would hold inf; for [5e-324], f0 = 1 + 5e-324 z, its one entry
-    # -1/5e-324 overflows and std would return a NaN root
+    # the last row of the linearization divides by the leading coefficient
+    # V_b = 5e-324 and would hold inf; for [5e-324], f0 = 1 + 5e-324 z, its
+    # one entry -1/5e-324 overflows
     p = jost_coefficients(validate_potential(values))
     with pytest.raises(FloatOverflowError, match="companion matrix"):
         find_zeros(p, cfg)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1e-300, 2.0, 1e-20, 1e20, 1e-20],
+        [-1.0, 1e-150, 1e-300],
+        [1.0, -1e-300, 2.0, -5e-324, 1e-300],
+    ],
+    ids=["wall-1e20", "tail-1e-300", "subnormal-inside"],
+)
+def test_restart_finds_the_roots_the_eigensolver_loses(values, count_calls):
+    # the eigenvalues far below the matrix's scale come back as noise that
+    # Newton cannot mend; without the restart the first input got N = 1
+    restarts = count_calls(_jost_aberth)
+    V = validate_potential(values)
+    report = analyze(V, CFG)
+    assert len(restarts) == 2  # V and -V
+    assert report.verdicts.all_theorems_hold
+    assert report.ledger.N == len(bound_state_scan(V, CFG))
 
 
 def _conjugate_closed(roots) -> bool:
@@ -148,14 +181,14 @@ def _conjugate_closed(roots) -> bool:
 
 
 def test_nonreal_roots_come_in_exact_conjugate_pairs():
-    # find_zeros polishes only the Im > 0 member of each companion pair and
+    # find_zeros polishes only the Im > 0 member of each eigenvalue pair and
     # mirrors it; this pins LAPACK returning the pairs as exact conjugates
     rng = np.random.default_rng(31)
     draws = [rng.uniform(-3, 3, int(rng.integers(1, 17))) for _ in range(60)]
     classified = 0
     for values in draws + [rng.uniform(-3, 3, 40) for _ in range(6)]:
         p = jost_coefficients(validate_potential(list(values)))
-        raw = np.polynomial.polynomial.polyroots(np.asarray(p.coeffs))
+        raw = np.linalg.eigvals(_linearization(list(values)))
         assert _conjugate_closed([(complex(z), 1) for z in raw]), list(values)
         roots = find_zeros(p, CFG)
         assert _conjugate_closed(roots), list(values)
@@ -291,6 +324,21 @@ class TestNormingConstants:
                         eigenvector_c2(values, bs.lam, bs.alpha), rel=1e-10
                     ), values
         assert checked > 400
+
+    def test_std_c2_matches_truncation_past_b20(self, eigenvector_c2):
+        # rng5_panel stops at b=20; here the std alpha itself must be accurate,
+        # as the backward norm magnifies its error toward n = 0
+        rng = np.random.default_rng(21)
+        draws = [list(rng.uniform(-3, 3, b)) for b in (24, 28) for _ in range(10)]
+        checked = 0
+        for values in draws:
+            for bs in norming_constants(*ledger_for(values)):
+                if abs(bs.alpha) < 0.95:
+                    checked += 1
+                    assert bs.c2 == pytest.approx(
+                        eigenvector_c2(values, bs.lam, bs.alpha), rel=1e-5
+                    ), (values, bs.alpha)
+        assert checked > 200
 
     def test_extended_lambda_at_40_digits(self, rng5_panel):
         # 2 - alpha - 1/alpha at the double alpha cancels near alpha = 1; the
