@@ -36,26 +36,27 @@ EXIT_PIPE = 1  # standard output closed before the command finished writing
 SWEEP_HEADER = ["b", "N", "min_edge_distance", "precision", "ms"]
 
 
-def _add_numeric_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-real", type=float, default=None)
-    sub.add_argument("--tol-cluster", type=float, default=None)
-    sub.add_argument("--tol-edge", type=float, default=None)
-    sub.add_argument("--precision", choices=("std", "ext"), default=None)
+_TOLERANCES = ("tau_real", "tau_cluster", "tau_edge")
+
+
+def _add_flags(sub: argparse.ArgumentParser, tolerances: bool = True,
+               precision: bool = True) -> None:
+    """The output flags, after the NumericConfig flags the command reads."""
+    if tolerances:
+        for field in _TOLERANCES:  # --tol-real sets tau_real, and so on
+            sub.add_argument("--tol-" + field[4:], dest=field, type=float, default=None)
+    if precision:
+        sub.add_argument("--precision", choices=("std", "ext"), default="std")
     sub.add_argument("--out", type=str, default=None)
     sub.add_argument("--quiet", action="store_true")
 
 
 def _config_from(args: argparse.Namespace) -> NumericConfig:
-    precision = args.precision or os.environ.get("LATTICEJOST_PRECISION", "std")
-    base = NumericConfig.extended() if precision == "ext" else NumericConfig()
-    overrides = {}
-    if args.tol_real is not None:
-        overrides["tau_real"] = args.tol_real
-    if args.tol_cluster is not None:
-        overrides["tau_cluster"] = args.tol_cluster
-    if args.tol_edge is not None:
-        overrides["tau_edge"] = args.tol_edge
-    return dataclasses.replace(base, **overrides)
+    """The NumericConfig of the flags a command took, the default for those it lacks."""
+    ext = getattr(args, "precision", "std") == "ext"
+    base = NumericConfig.extended() if ext else NumericConfig()
+    given = {f: getattr(args, f) for f in _TOLERANCES if getattr(args, f, None) is not None}
+    return dataclasses.replace(base, **given)
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -258,35 +259,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="full pipeline report for one potential")
     p_an.add_argument("potential", help="potential file (JSON array or one value per line) or inline JSON")
     p_an.add_argument("--no-timing", action="store_true", help="omit timing for byte-identical comparison")
-    _add_numeric_flags(p_an)
+    _add_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sw = sub.add_parser("sweep", help="bound-state count sweep over a potential family")
     p_sw.add_argument("--family", default="alternating")
     p_sw.add_argument("--amplitude", type=float, default=2.0)
     p_sw.add_argument("--bmax", type=int, required=True)
-    _add_numeric_flags(p_sw)
+    _add_flags(p_sw, tolerances=False)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_de = sub.add_parser("design", help="constructive families and inverse problems")
     de_sub = p_de.add_subparsers(dest="mode", required=True)
     de_b2 = de_sub.add_parser("b2")
     de_b2.add_argument("--roots", required=True, help="three comma-separated roots")
-    _add_numeric_flags(de_b2)
+    _add_flags(de_b2, tolerances=False, precision=False)
     de_b3 = de_sub.add_parser("b3")
     de_b3.add_argument("--roots", required=True, help="four comma-separated roots")
-    _add_numeric_flags(de_b3)
+    _add_flags(de_b3, tolerances=False, precision=False)
     de_sh = de_sub.add_parser("shrink")
     de_sh.add_argument("--potential", required=True)
-    _add_numeric_flags(de_sh)
+    _add_flags(de_sh)
     de_am = de_sub.add_parser("amplify")
     de_am.add_argument("--signs", required=True, help="comma-separated +/- pattern")
-    _add_numeric_flags(de_am)
+    _add_flags(de_am)
     de_ex = de_sub.add_parser("extend")
     de_ex.add_argument("--potential", required=True)
     de_ex.add_argument("--b", type=int, required=True)
     de_ex.add_argument("--epsilon", type=float, default=None)
-    _add_numeric_flags(de_ex)
+    _add_flags(de_ex)
     p_de.set_defaults(func=cmd_design)
 
     p_or = sub.add_parser("oracle", help="matrix-eigenvalue cross-check")
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--margin", type=float, default=1e-6)
     p_or.add_argument("--alpha-filter", type=float, default=0.95,
                       help="exclude bound roots with |alpha| at or above this from comparison")
-    _add_numeric_flags(p_or)
+    _add_flags(p_or)
     p_or.set_defaults(func=cmd_oracle)
 
     return ap

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .core import NumericConfig, Potential
 from .errors import InconsistentRootsError, NoConvergenceError
-from .jost import jost_coefficients, jost_eval, rouche_margin
+from .jost import _dyadic, jost_coefficients, rouche_margin
 from .report import SpectralReport, analyze
 
 __all__ = [
@@ -89,22 +89,44 @@ def extend_with_epsilon(V: Potential, b: int, epsilon: float) -> Potential:
     return Potential(V.values + (float(epsilon),) * (b - V.b))
 
 
+def _band_edge_values(V: Potential) -> tuple[int, int, int]:
+    """f0(1) and f0(-1) exactly, as ints over 2^shift, with the shift.
+
+    The Jost recursion f_(n-1) = (z + 1/z + V_n) f_n - f_(n+1) at z = +-1,
+    on F_n = S^(b-n) f_n for V_n = m_n / S, S = 2^E; the loop carries
+    S^2 F_(n+1), which starts at S z^(b+1).  Float Horner on the rounded
+    coefficients loses these values at large b.
+    """
+    ms, E = _dyadic(V.values)
+    edges = []
+    for z in (1, -1):
+        f, g = z**V.b, z ** (V.b + 1) << E
+        for m in reversed(ms):
+            f, g = ((2 * z << E) + m) * f - g, f << 2 * E
+        edges.append(f)
+    return edges[0], edges[1], E * V.b
+
+
 def choose_epsilon(
     V: Potential, b: int, cfg: NumericConfig, start: float = 0.1
 ) -> tuple[float, SpectralReport]:
     """Halve the tail value until the extension keeps the bound-state count.
 
     Also requires |f0(+-1)| to stay above tau_edge so that no zero sits on
-    the band edge (the genericity the continuity argument needs).  Returns
-    the chosen epsilon with the extension's report.
+    the band edge (the genericity the continuity argument needs), decided
+    in exact ints before the extension is analyzed.  Returns the chosen
+    epsilon with the extension's report.
     """
     target_n = analyze(V, cfg).ledger.N
+    tau_num, tau_den = cfg.tau_edge.as_integer_ratio()
     eps = start
     while eps > 1e-15:
-        rep = analyze(extend_with_epsilon(V, b, eps), cfg)
-        edge = min(abs(jost_eval(rep.jost_coefficients, z)) for z in (1.0, -1.0))
-        if rep.ledger.N == target_n and edge > cfg.tau_edge:
-            return eps, rep
+        extension = extend_with_epsilon(V, b, eps)
+        f_plus, f_minus, shift = _band_edge_values(extension)
+        if min(abs(f_plus), abs(f_minus)) * tau_den > tau_num << shift:
+            rep = analyze(extension, cfg)
+            if rep.ledger.N == target_n:
+                return eps, rep
         eps /= 2.0
     raise NoConvergenceError(
         f"no epsilon above the precision floor preserves N = {target_n}"

@@ -13,10 +13,6 @@ class ZeroArgumentError(LatticeJostError):
     """An operation was evaluated at z = 0 where 1/z is required."""
 
 
-class DegenerateDegreeError(LatticeJostError):
-    """Leading Jost coefficient vanished; inconsistent with a valid potential."""
-
-
 class CountMismatchError(LatticeJostError):
     """Root multiplicities do not add up to the polynomial degree."""
 

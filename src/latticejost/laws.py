@@ -97,12 +97,12 @@ def check_small_coefficient_criterion(
 
 
 def _multiset_close(a: list[complex], b: list[complex], tol: float) -> bool:
-    """Greedy nearest matching of two complex multisets within tol."""
+    """Greedy nearest matching of two complex multisets within tol * max(1, |x|)."""
     if len(a) != len(b):
         return False
     remaining = list(b)
     for x in a:
-        best, best_d = None, tol
+        best, best_d = None, tol * max(1.0, abs(x))
         for i, y in enumerate(remaining):
             d = abs(x - y)
             if d < best_d:
@@ -119,7 +119,9 @@ def _mirrors_negated(zeros: list[complex], p: JostPolynomial, cfg: NumericConfig
     -V's polynomial is V's polynomial p with its odd coefficients negated,
     by the parity f0^{-V}(z) = f0^V(-z); its zeros are found anew, so the
     comparison tests the root finder.  The ledger moves an edge zero by up
-    to tau_edge when it snaps it to +-1; the tolerance allows for that.
+    to tau_edge when it snaps it to +-1; the tolerance allows for that.  It
+    scales with |z| beyond the unit circle, where the double spacing of far
+    zeros (past about 1e6) exceeds any absolute tolerance.
     """
     mirrored = find_zeros(_mirrored(p), cfg)
     negated = [-z for z, m in mirrored for _ in range(m)]

@@ -19,8 +19,9 @@ The large-support scan counts the bound states by the operator's pivots and
 multisects on that count, so it needs no coefficients.  One 40-digit polish,
 :func:`_polish_fixed`, refines the real roots in (-1, 1) for both the
 extended scan and the extended bound-state energies: Newton steps on the
-Jost recursion in the same exact fixed-point ints (:func:`_g0_fixed`);
-mpmath only boxes the scan's results.
+Jost recursion in the same exact fixed-point ints (:func:`_g0_fixed`).
+The extended scan returns each polished int at scale 2^F as the exact
+Fraction z / 2^F.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -893,8 +895,8 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
 
     Extended mode polishes each root at 40 digits in fixed-point ints
     (:func:`_polish_fixed`, which raises NoConvergenceError when that
-    fails).  Returns the roots in ascending order (floats, or 40-digit mpf
-    in extended mode).
+    fails).  Returns the roots in ascending order: floats, or in extended
+    mode the exact dyadic Fractions of the polished fixed-point ints.
     """
     if V.b == 0:
         return []
@@ -926,7 +928,4 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     if not cfg.is_extended:
         return roots.tolist()
     polished, F = _polish_fixed(V.values, roots.tolist())
-    from mpmath import mp, mpf
-
-    with mp.workdps(_MP_DPS):
-        return [mpf((z, -F)) for z in polished]
+    return [Fraction(z, 1 << F) for z in polished]

@@ -83,10 +83,10 @@ class TestAnalyze:
         assert err.startswith("numerical diagnostic:")
         assert "Traceback" not in err
 
-    def test_precision_env(self, capsys, monkeypatch):
+    def test_precision_environment_variable_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")
         _, out, _ = run(capsys, "analyze", "[2]")
-        assert json.loads(out)["config"]["precision_mode"] == "extended"
+        assert json.loads(out)["config"]["precision_mode"] == "standard"
 
 
 @pytest.mark.parametrize(
@@ -100,11 +100,49 @@ class TestAnalyze:
     ids=["analyze", "sweep", "design", "oracle"],
 )
 def test_rejected_tolerance_is_input_error(capsys, argv):
-    # NumericConfig requires tau_cluster >= tau_real; ext sets tau_cluster = 1e-16
+    # NumericConfig requires tau_cluster >= tau_real; ext sets tau_cluster = 1e-16.
+    # sweep reads no tolerance, so argparse rejects the flag itself
+    if argv[0] == "sweep":
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--precision", "ext", "--tol-real", "1e-10"])
+        assert exc.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --tol-real 1e-10" in capsys.readouterr().err
+        return
     code, out, err = run(capsys, *argv, "--precision", "ext", "--tol-real", "1e-10")
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "input error: tau_cluster must be at least tau_real\n"
+
+
+_NUMERIC_FLAGS = {
+    "--tol-real": "1e-9", "--tol-cluster": "1e-6", "--tol-edge": "1e-7", "--precision": "ext",
+}
+_COMMANDS = {
+    "analyze": ["analyze", "[2]"],
+    "sweep": ["sweep", "--bmax", "2"],
+    "b2": ["design", "b2", "--roots", "0.5,-0.5,2.2360679774997896"],
+    "b3": ["design", "b3", "--roots", "0.3,-0.6,2.0,-5.0"],
+    "shrink": ["design", "shrink", "--potential", "[2]"],
+    "amplify": ["design", "amplify", "--signs", "+"],
+    "extend": ["design", "extend", "--potential", "[2]", "--b", "2"],
+    "oracle": ["oracle", "[2]"],
+}
+# the numeric flags each command reads; b2 and b3 read none
+_READS = {"sweep": ["--precision"], "b2": [], "b3": []}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_takes_only_the_numeric_flags_it_reads(command):
+    parser = cli.build_parser()
+    reads = _READS.get(command, list(_NUMERIC_FLAGS))
+    for flag, value in _NUMERIC_FLAGS.items():
+        argv = [*_COMMANDS[command], flag, value]
+        if flag in reads:
+            parser.parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == EXIT_INPUT, argv
 
 
 @pytest.mark.parametrize(

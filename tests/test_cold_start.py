@@ -1,4 +1,4 @@
-"""Cold start: scipy loads only inside the matrix oracle.
+"""Cold start: scipy loads only inside the matrix oracle, mpmath never.
 
 Each check runs in a fresh interpreter, since this test process has
 already imported scipy through other test modules.
@@ -48,6 +48,20 @@ def test_cli_skips_scipy(argv):
         f"assert main({argv!r}) == 0\n"
     )
     assert loaded["scipy"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--bmax", "4", "--precision", "ext"],
+     ["analyze", "[2]", "--precision", "ext"]],
+    ids=["sweep", "analyze"],
+)
+def test_extended_cli_never_loads_mpmath(argv):
+    loaded = fresh(
+        "from latticejost.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+    )
+    assert loaded["mpmath"] is False
 
 
 def test_oracle_loads_scipy():

@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from latticejost.core import NumericConfig, validate_potential
 from latticejost.design import (
+    _band_edge_values,
     alternating_potential,
     amplify_to_full_bound,
     choose_epsilon,
@@ -94,6 +96,15 @@ class TestExtend:
         assert rep.potential == (2.0, eps, eps, eps)
         assert rep.ledger.N == n0
         assert classified_n(validate_potential(rep.potential)) == n0
+
+    def test_band_edge_values_are_exact_at_b110(self):
+        # float Horner on the rounded coefficients gives |f0(-1)| = 0.1791 here
+        ext = extend_with_epsilon(validate_potential([2, -2, 2, -2, 2]), 110, 0.1)
+        exact = jost_coefficients(ext).exact
+        f_plus, f_minus, shift = _band_edge_values(ext)
+        assert Fraction(f_plus, 1 << shift) == sum(exact)
+        assert Fraction(f_minus, 1 << shift) == sum(c if j % 2 == 0 else -c for j, c in enumerate(exact))
+        assert f_minus / (1 << shift) == pytest.approx(0.19955432359417, rel=1e-12)
 
 
 class TestInverseB2:

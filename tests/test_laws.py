@@ -65,6 +65,16 @@ class TestIndividualChecks:
     def test_sign_flip_trivial(self):
         assert check_sign_flip_symmetry(validate_potential([]), CFG)
 
+    @pytest.mark.parametrize(
+        "values", [[1.0, -1e-150], [-1.0, 1e-150], [5e-324, -1e-150]],
+        ids=["1,-1e-150", "-1,1e-150", "5e-324,-1e-150"],
+    )
+    @pytest.mark.parametrize("cfg", [CFG, EXT], ids=["std", "ext"])
+    def test_sign_flip_holds_on_far_zeros(self, cfg, values):
+        # zeros near 1e75 and 5e49, where V's and -V's polished zeros may
+        # differ in the last bit, far beyond any absolute tolerance
+        assert analyze(validate_potential(values), cfg).verdicts.sign_flip_symmetry
+
 
 class TestEvaluateLaws:
     def test_all_hold_on_example(self):

@@ -572,6 +572,7 @@ class TestBoundStateScan:
         assert root == pytest.approx(-1 / v, rel=1e-15)
         (ext,) = bound_state_scan(V, NumericConfig.extended())
         with mp.workdps(60):
+            ext = mpf(ext.numerator) / ext.denominator
             exact = mpf(-1) / mpf(v)  # f0(z) = 1 + v z
             assert abs(ext - exact) <= mpf(10) ** -38 * abs(exact)
 
@@ -607,6 +608,7 @@ class TestBoundStateScan:
     def test_extended_polish(self):
         V = validate_potential(EX42_POTENTIAL)
         roots = bound_state_scan(V, NumericConfig.extended())
+        assert all(type(r) is Fraction for r in roots)
         assert [float(r) for r in roots] == pytest.approx([-0.5, 0.5], abs=1e-15)
 
     @pytest.mark.parametrize("b", [40, 110])
@@ -623,6 +625,7 @@ class TestBoundStateScan:
             mpv = [mpf(v) for v in V.values]
             for z, z_std in zip(roots, std):
                 assert float(z) == pytest.approx(z_std, abs=1e-14)
+                z = mpf(z.numerator) / z.denominator
                 f, df = f0_pair(mpv, z)
                 z1 = z - f / df
                 # one more full Newton step moves the root by no more than the
@@ -647,7 +650,7 @@ class TestBoundStateScan:
             with mp.workdps(60):
                 mpv = [mpf(v) for v in values]
                 for z in roots:
-                    a = mpf(z)
+                    z = a = mpf(z.numerator) / z.denominator
                     for _ in range(8):
                         f, df = f0_pair(mpv, a)
                         a -= f / df
