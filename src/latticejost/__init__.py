@@ -18,9 +18,7 @@ from .core import (
     z_to_lambda,
 )
 from .jost import (
-    FGDecomposition,
     JostPolynomial,
-    fg_decompose,
     jost_coefficients,
     jost_eval,
     jost_solution,
@@ -37,7 +35,6 @@ from .spectrum import (
     classify_zeros,
     find_zeros,
     norming_constants,
-    sign_diagnostics,
 )
 
 __version__ = "0.1.0"
@@ -51,11 +48,9 @@ __all__ = [
     "validate_potential",
     "load_potential",
     "JostPolynomial",
-    "FGDecomposition",
     "jost_coefficients",
     "jost_eval",
     "jost_solution",
-    "fg_decompose",
     "rouche_margin",
     "ClassifiedZero",
     "ZeroLedger",
@@ -63,7 +58,6 @@ __all__ = [
     "find_zeros",
     "classify_zeros",
     "norming_constants",
-    "sign_diagnostics",
     "bound_state_scan",
     "LawVerdicts",
     "evaluate_laws",

@@ -23,9 +23,9 @@ from .design import (
     shrink_to_no_bound,
 )
 from .errors import InconsistentRootsError, LatticeJostError, TrailingZeroError
-from .jost import JostPolynomial, _rouche_margin
+from .jost import _rouche_margin, jost_coefficients
 from .oracle import match_energies, oracle_bound_states
-from .report import analyze
+from .report import _analyze, analyze
 from .spectrum import bound_state_scan
 
 EXIT_OK = 0
@@ -170,13 +170,12 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
             }
         elif args.mode == "amplify":
             A, pot = amplify_to_full_bound(_parse_signs(args.signs))
-            rep = analyze(pot, cfg)
-            p = JostPolynomial(coeffs=rep.jost_coefficients, b=rep.b)
+            p = jost_coefficients(pot)
             doc = {
                 "A": A,
                 "potential": list(pot.values),
-                "N": rep.ledger.N,
-                "rouche_margin": _rouche_margin(pot, p),
+                "N": _analyze(pot, p, cfg, time.perf_counter()).ledger.N,
+                "rouche_margin": _rouche_margin(p),
             }
         elif args.mode == "extend":
             pot = load_potential(args.potential)

@@ -155,11 +155,14 @@ def lambda_to_z(lam: float) -> complex:
 
 
 def z_to_lambda(z: complex) -> complex:
-    """Inverse chart map, lambda = 2 - z - 1/z."""
+    """Inverse chart map, lambda = 2 - z - 1/z, computed as -(1 - z)^2 / z.
+
+    That form has no cancellation near z = 1, where 2 - z - 1/z loses every
+    digit (it gives 0 at z = 1 - 2^-30).
+    """
     if z == 0:
         raise ZeroArgumentError("z = 0 has no finite energy")
-    lam = 2.0 - z - 1.0 / z
-    return lam
+    return -((1.0 - z) ** 2) / z
 
 
 def load_potential(source: str | Path) -> Potential:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
 from .core import NumericConfig, Potential
-from .errors import InconsistentRootsError, NoConvergenceError
-from .jost import _dyadic, jost_coefficients, rouche_margin
-from .report import SpectralReport, analyze
+from .errors import FloatOverflowError, InconsistentRootsError, NoConvergenceError
+from .jost import JostPolynomial, _small_coefficients, jost_coefficients, rouche_margin
+from .report import SpectralReport, _analyze, analyze
 
 __all__ = [
     "InverseB2Result",
@@ -47,17 +48,20 @@ def shrink_to_no_bound(V: Potential) -> tuple[float, Potential]:
 
     The returned scaled potential carries the no-bound-state certificate
     (and stays in the class since t V_b != 0).  Termination is guaranteed:
-    every coefficient has positive degree in the potential values.
+    every coefficient has positive degree in the potential values, unless
+    t V_b underflows to 0 first, which raises FloatOverflowError.
     """
-    b = V.b
-    if b < 1:
+    if V.b < 1:
         raise ValueError("b must be at least 1")
     t = 1.0
-    bound = 1.0 / (2 * b)
     while True:
+        if t * V.values[-1] == 0:
+            raise FloatOverflowError(
+                f"scale t = {t!r} underflows t*V_b to 0 before the "
+                "small-coefficient certificate applies"
+            )
         scaled = V.scaled(t)
-        coeffs = jost_coefficients(scaled).coeffs
-        if max(abs(c) for c in coeffs[1:]) < bound:
+        if _small_coefficients(jost_coefficients(scaled)):
             return t, scaled
         t /= 2.0
 
@@ -89,22 +93,12 @@ def extend_with_epsilon(V: Potential, b: int, epsilon: float) -> Potential:
     return Potential(V.values + (float(epsilon),) * (b - V.b))
 
 
-def _band_edge_values(V: Potential) -> tuple[int, int, int]:
-    """f0(1) and f0(-1) exactly, as ints over 2^shift, with the shift.
+def _band_edges(p: JostPolynomial) -> tuple[int, int]:
+    """2^p.shift f0(1) and 2^p.shift f0(-1): the exact (alternating) sum of p.ints.
 
-    The Jost recursion f_(n-1) = (z + 1/z + V_n) f_n - f_(n+1) at z = +-1,
-    on F_n = S^(b-n) f_n for V_n = m_n / S, S = 2^E; the loop carries
-    S^2 F_(n+1), which starts at S z^(b+1).  Float Horner on the rounded
-    coefficients loses these values at large b.
+    Float Horner on the rounded coefficients loses these values at large b.
     """
-    ms, E = _dyadic(V.values)
-    edges = []
-    for z in (1, -1):
-        f, g = z**V.b, z ** (V.b + 1) << E
-        for m in reversed(ms):
-            f, g = ((2 * z << E) + m) * f - g, f << 2 * E
-        edges.append(f)
-    return edges[0], edges[1], E * V.b
+    return sum(p.ints), sum(c if j % 2 == 0 else -c for j, c in enumerate(p.ints))
 
 
 def choose_epsilon(
@@ -114,17 +108,19 @@ def choose_epsilon(
 
     Also requires |f0(+-1)| to stay above tau_edge so that no zero sits on
     the band edge (the genericity the continuity argument needs), decided
-    in exact ints before the extension is analyzed.  Returns the chosen
+    in exact ints (:func:`_band_edges`) before the extension is analyzed.
+    Each extension's polynomial is built once, for both.  Returns the chosen
     epsilon with the extension's report.
     """
     target_n = analyze(V, cfg).ledger.N
     tau_num, tau_den = cfg.tau_edge.as_integer_ratio()
     eps = start
     while eps > 1e-15:
+        t0 = time.perf_counter()
         extension = extend_with_epsilon(V, b, eps)
-        f_plus, f_minus, shift = _band_edge_values(extension)
-        if min(abs(f_plus), abs(f_minus)) * tau_den > tau_num << shift:
-            rep = analyze(extension, cfg)
+        p = jost_coefficients(extension)
+        if min(map(abs, _band_edges(p))) * tau_den > tau_num << p.shift:
+            rep = _analyze(extension, p, cfg, t0)
             if rep.ledger.N == target_n:
                 return eps, rep
         eps /= 2.0

@@ -15,10 +15,16 @@ Two evaluation routes are provided on purpose:
 * the Jost solution itself, :func:`jost_solution`, by the backward
   recursion, which stays well conditioned on and inside the unit circle at
   any support length.
+
+The two coefficient certificates read the one built polynomial: the
+small-coefficient test for N = 0 (:func:`_small_coefficients`) and the
+Rouche margin for N = b, |prod V_j| against the coefficients of
+G = f0 - (prod V_j) z^b (:func:`_rouche_margin`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,11 +35,9 @@ from .errors import FloatOverflowError, ZeroArgumentError
 
 __all__ = [
     "JostPolynomial",
-    "FGDecomposition",
     "jost_coefficients",
     "jost_eval",
     "jost_solution",
-    "fg_decompose",
     "rouche_margin",
 ]
 
@@ -161,41 +165,28 @@ def jost_solution(V: Potential, z: complex) -> list[complex]:
     return out
 
 
-@dataclass(frozen=True)
-class FGDecomposition:
-    """Split f0 = F + G with F the unique top-degree monomial (prod V_j) z^b."""
+def _small_coefficients(p: JostPolynomial) -> bool:
+    """Whether every coefficient beyond the constant term is below 1/(2b), b >= 1.
 
-    F_coefficient: float
-    G: tuple[float, ...]
-    b: int
-
-    def reconstruct(self) -> tuple[float, ...]:
-        out = list(self.G)
-        out[self.b] += self.F_coefficient
-        return tuple(out)
+    Then |f0| >= 1/(2b) throughout (-1, 1), which forces N = 0.
+    """
+    return max(abs(c) for c in p.coeffs[1:]) < 1.0 / (2 * p.b)
 
 
-def fg_decompose(V: Potential, p: JostPolynomial) -> FGDecomposition:
-    """Peel the product monomial off the z^b slot of the Jost polynomial."""
-    prod = 1.0
-    for v in V.values:
-        prod *= v
+def _rouche_margin(p: JostPolynomial) -> float:
+    """:func:`rouche_margin` from an already built polynomial p and its values."""
+    prod = math.prod(p.values)
     g = list(p.coeffs)
-    g[V.b] -= prod
-    return FGDecomposition(F_coefficient=prod, G=tuple(g), b=V.b)
-
-
-def _rouche_margin(V: Potential, p: JostPolynomial) -> float:
-    """:func:`rouche_margin` of V from its already built polynomial p."""
-    fg = fg_decompose(V, p)
-    return abs(fg.F_coefficient) - sum(abs(g) for g in fg.G)
+    g[p.b] -= prod
+    return abs(prod) - sum(map(abs, g))
 
 
 def rouche_margin(V: Potential) -> float:
     """|prod V_j| minus the coefficient-sum bound on |G| over the unit circle.
 
-    min |F| on |z| = 1 is exactly |prod V_j| while sum |G_j| dominates
-    max |G|, so a positive margin certifies that f0 has exactly b zeros
-    inside the unit circle, i.e. N = b.  For b = 0 it is 1.
+    f0 = F + G with F = (prod V_j) z^b, the one monomial of top degree in
+    the potential values.  min |F| on |z| = 1 is exactly |prod V_j| while
+    sum |G_j| dominates max |G|, so a positive margin certifies that f0 has
+    exactly b zeros inside the unit circle, i.e. N = b.  For b = 0 it is 1.
     """
-    return _rouche_margin(V, jost_coefficients(V))
+    return _rouche_margin(jost_coefficients(V))

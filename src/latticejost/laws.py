@@ -11,7 +11,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import NumericConfig, Potential
-from .jost import JostPolynomial, _mirrored, _rouche_margin, jost_coefficients
+from .jost import (
+    JostPolynomial,
+    _mirrored,
+    _rouche_margin,
+    _small_coefficients,
+    jost_coefficients,
+)
 from .spectrum import ZeroLedger, find_zeros
 
 __all__ = [
@@ -88,10 +94,7 @@ def check_small_coefficient_criterion(
     magnitude, |f0| >= 1/(2b) throughout (-1, 1), forcing N = 0.  Returns
     None when the hypothesis fails (criterion not applicable).
     """
-    b = p.b
-    if b == 0:
-        return ledger.N == 0
-    if max(abs(c) for c in p.coeffs[1:]) >= 1.0 / (2 * b):
+    if p.b and not _small_coefficients(p):
         return None
     return ledger.N == 0
 
@@ -151,7 +154,7 @@ def evaluate_laws(
     only -V's zeros are found here.
     """
     ok_minus, eps_minus, ok_plus, eps_plus = check_resonance_inequalities(ledger)
-    rouche = (ledger.N == V.b) if _rouche_margin(V, p) > 0 else None
+    rouche = (ledger.N == V.b) if _rouche_margin(p) > 0 else None
     return LawVerdicts(
         count_identity=check_count_identity(ledger, V.b),
         bound_state_bound=check_bound_state_bound(ledger, V.b),

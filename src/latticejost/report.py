@@ -90,9 +90,14 @@ class SpectralReport:
 
 def analyze(V: Potential, cfg: NumericConfig | None = None) -> SpectralReport:
     """validate -> coefficients -> roots -> classify -> norming -> laws."""
-    cfg = cfg or NumericConfig()
     t0 = time.perf_counter()
-    p = jost_coefficients(V)
+    return _analyze(V, jost_coefficients(V), cfg or NumericConfig(), t0)
+
+
+def _analyze(
+    V: Potential, p: JostPolynomial, cfg: NumericConfig, t0: float
+) -> SpectralReport:
+    """The report of V from its already built polynomial p, timed from t0."""
     roots = find_zeros(p, cfg)
     ledger = classify_zeros(roots, cfg, V.b)
     bound = tuple(norming_constants(ledger, p, cfg))

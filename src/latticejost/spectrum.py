@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NumericConfig, Potential
+from .core import NumericConfig, Potential, z_to_lambda
 from .errors import (
     CountMismatchError,
     FloatOverflowError,
@@ -48,11 +48,9 @@ __all__ = [
     "ClassifiedZero",
     "ZeroLedger",
     "BoundState",
-    "SignRecord",
     "find_zeros",
     "classify_zeros",
     "norming_constants",
-    "sign_diagnostics",
     "bound_state_scan",
 ]
 
@@ -431,7 +429,7 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     lead = values[-1]
     if not all(math.isfinite(v / lead) for v in (1.0, *values[-2:])):
         raise FloatOverflowError(
-            f"leading Jost coefficient {lead!r} puts the companion matrix "
+            f"leading Jost coefficient {lead!r} puts the linearization "
             "beyond double precision"
         )
     try:
@@ -663,11 +661,11 @@ def norming_constants(
     2000), in O(b) double arithmetic by :func:`_norm_c2`; it needs no other
     root and is positive by construction.  Both precisions run it at the
     ledger's alpha, which an extended-precision config has from the
-    40-digit Aberth refinement of :func:`find_zeros`.  lambda =
-    -(1 - alpha)^2 / alpha avoids the cancellation of 2 - alpha - 1/alpha
-    near alpha = 1; an extended config evaluates it at alpha polished to 40
-    digits by the extended scan's Newton (:func:`_polish_fixed`), rounded
-    once from its ints.  p must carry the potential's values, as
+    40-digit Aberth refinement of :func:`find_zeros`.  lambda is
+    -(1 - alpha)^2 / alpha, free of the cancellation near alpha = 1: by
+    :func:`z_to_lambda` in double, and in an extended config at alpha
+    polished to 40 digits by the extended scan's Newton
+    (:func:`_polish_fixed`), rounded once from its ints.  p must carry the potential's values, as
     :func:`jost_coefficients` builds it.
 
     A bound state of multiplicity above 1 (two zeros that coincide at the
@@ -691,7 +689,7 @@ def norming_constants(
         polished, F = _polish_fixed(p.values, alphas)
         lams = [-((a - (1 << F)) ** 2) / (a << F) for a in polished]
     else:
-        lams = [-((1.0 - a) ** 2) / a for a in alphas]
+        lams = [z_to_lambda(a) for a in alphas]
     out = []
     for (k, alpha), lam in zip(roots, lams):
         try:
@@ -702,64 +700,6 @@ def norming_constants(
                 f"leaves {precision} precision"
             ) from exc
         out.append(BoundState(k=k, alpha=alpha, lam=lam, c2=c2))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# sign diagnostics
-
-
-@dataclass(frozen=True, slots=True)
-class SignRecord:
-    k: int
-    alpha: float
-    sign_p_minus: int
-    sign_p_plus: int
-    sign_denominator: int
-    parity: int
-    denominator_matches_parity: bool
-    product_matches_parity: bool
-
-
-def sign_diagnostics(ledger: ZeroLedger) -> list[SignRecord]:
-    """Per-bound-state signs of the resonance products and the derivative sign.
-
-    Checks the alternation law: sgn prod_{j != k} (alpha_k - alpha_j) equals
-    (-1)^(k-1), and the matching alternation of the one-sided resonance
-    product P- (for alpha in (-1,0)) or P+ (for alpha in (0,1)).
-    """
-    reals = ledger.real_roots_expanded()
-    cplx = ledger.all_roots_expanded()[len(reals):]
-    p_, r_, s_ = ledger.p, ledger.r, ledger.s
-    out = []
-    for k, alpha in ledger.bound_state_roots():
-        pm = 1.0
-        for j in range(p_):
-            pm *= 1.0 - reals[j] * alpha
-        pp = 1.0
-        for j in range(r_, s_):
-            pp *= 1.0 - reals[j] * alpha
-        den = 1 + 0j
-        for j, a in enumerate([*reals, *cplx]):
-            if j != k - 1:
-                den *= alpha - a
-        parity = 1 if (k - 1) % 2 == 0 else -1
-        s_pm = 1 if pm > 0 else -1
-        s_pp = 1 if pp > 0 else -1
-        s_den = 1 if den.real > 0 else -1
-        relevant = s_pm if alpha < 0 else s_pp
-        out.append(
-            SignRecord(
-                k=k,
-                alpha=alpha,
-                sign_p_minus=s_pm,
-                sign_p_plus=s_pp,
-                sign_denominator=s_den,
-                parity=parity,
-                denominator_matches_parity=(s_den == parity),
-                product_matches_parity=(relevant == parity),
-            )
-        )
     return out
 
 

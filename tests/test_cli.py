@@ -296,6 +296,14 @@ class TestDesign:
         assert doc["N"] == 0
         assert doc["small_coeff_certificate"] is True
 
+    def test_shrink_underflow_is_typed(self, capsys):
+        # the certificate needs t < 2.5e-301, but t * 1e-300 underflows to 0
+        # once t halves below about 2.5e-24
+        code, out, err = run(capsys, "design", "shrink", "--potential", "[1e300,1e-300]")
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err.startswith("numerical diagnostic:") and "underflows" in err
+
     def test_amplify(self, capsys):
         code, out, _ = run(capsys, "design", "amplify", "--signs", "+,-")
         assert code == EXIT_OK

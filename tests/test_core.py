@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,15 @@ class TestSpectralMap:
     def test_zero_argument(self):
         with pytest.raises(ZeroArgumentError):
             z_to_lambda(0.0)
+
+    @pytest.mark.parametrize(
+        "z", [1 - 2.0**-30, 0.9999999, 1 + 2.0**-40, 1.0000001, 0.5, -0.3, 3.0, -1e-200]
+    )
+    def test_z_to_lambda_near_edge_against_exact(self, z):
+        # 2 - z - 1/z cancels near z = 1: it gave 0.0 at 1 - 2^-30
+        exact = 2 - Fraction(z) - 1 / Fraction(z)
+        lam = z_to_lambda(z)
+        assert abs(Fraction(lam) - exact) <= 2**-51 * abs(exact)
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=300)

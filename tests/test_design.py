@@ -6,7 +6,7 @@ import pytest
 
 from latticejost.core import NumericConfig, validate_potential
 from latticejost.design import (
-    _band_edge_values,
+    _band_edges,
     alternating_potential,
     amplify_to_full_bound,
     choose_epsilon,
@@ -100,8 +100,9 @@ class TestExtend:
     def test_band_edge_values_are_exact_at_b110(self):
         # float Horner on the rounded coefficients gives |f0(-1)| = 0.1791 here
         ext = extend_with_epsilon(validate_potential([2, -2, 2, -2, 2]), 110, 0.1)
-        exact = jost_coefficients(ext).exact
-        f_plus, f_minus, shift = _band_edge_values(ext)
+        p = jost_coefficients(ext)
+        exact, shift = p.exact, p.shift
+        f_plus, f_minus = _band_edges(p)
         assert Fraction(f_plus, 1 << shift) == sum(exact)
         assert Fraction(f_minus, 1 << shift) == sum(c if j % 2 == 0 else -c for j, c in enumerate(exact))
         assert f_minus / (1 << shift) == pytest.approx(0.19955432359417, rel=1e-12)

@@ -11,7 +11,6 @@ from latticejost.errors import FloatOverflowError, ZeroArgumentError
 from latticejost.jost import (
     _int_coefficients,
     _mirrored,
-    fg_decompose,
     jost_coefficients,
     jost_eval,
     jost_solution,
@@ -216,35 +215,6 @@ class TestEvaluation:
             assert abs(a - c) <= 1e-10 * max(1.0, abs(c))
 
 
-class TestDecomposition:
-    def test_b1(self):
-        V = validate_potential([2.0])
-        fg = fg_decompose(V, jost_coefficients(V))
-        assert fg.F_coefficient == 2.0
-        assert fg.G == (1.0, 0.0)
-
-    def test_trivial(self):
-        V = validate_potential([])
-        fg = fg_decompose(V, jost_coefficients(V))
-        assert fg.F_coefficient == 1.0
-        assert fg.G == (0.0,)
-
-    def test_equal_pair(self):
-        a = 1.5
-        V = validate_potential([a, a])
-        fg = fg_decompose(V, jost_coefficients(V))
-        assert fg.F_coefficient == pytest.approx(a * a)
-        assert np.allclose(fg.G, [1.0, 2 * a, 0.0, a])
-
-    @given(potentials)
-    @settings(max_examples=50, deadline=None)
-    def test_reconstruction(self, v):
-        V = validate_potential(v)
-        p = jost_coefficients(V)
-        fg = fg_decompose(V, p)
-        assert np.allclose(fg.reconstruct(), p.coeffs, atol=1e-9)
-
-
 class TestRoucheMargin:
     def test_trivial(self):
         assert rouche_margin(validate_potential([])) == 1.0
@@ -255,3 +225,7 @@ class TestRoucheMargin:
 
     def test_small_single(self):
         assert rouche_margin(validate_potential([0.1])) == pytest.approx(-0.9)
+
+    def test_equal_pair(self):
+        # f0 = 1 + 3z + 2.25z^2 + 1.5z^3: |F| = 2.25 against sum |G| = 1 + 3 + 0 + 1.5
+        assert rouche_margin(validate_potential([1.5, 1.5])) == -3.25

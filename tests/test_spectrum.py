@@ -25,7 +25,6 @@ from latticejost.spectrum import (
     classify_zeros,
     find_zeros,
     norming_constants,
-    sign_diagnostics,
 )
 
 CFG = NumericConfig()
@@ -148,7 +147,7 @@ def test_subnormal_leading_coefficient_is_typed(values, cfg):
     # V_b = 5e-324 and would hold inf; for [5e-324], f0 = 1 + 5e-324 z, its
     # one entry -1/5e-324 overflows
     p = jost_coefficients(validate_potential(values))
-    with pytest.raises(FloatOverflowError, match="companion matrix"):
+    with pytest.raises(FloatOverflowError, match="linearization"):
         find_zeros(p, cfg)
 
 
@@ -424,41 +423,6 @@ class TestNormingConstants:
         bare = JostPolynomial(coeffs=p.coeffs, b=p.b)
         with pytest.raises(ValueError, match="p.values"):
             norming_constants(ledger, bare)
-
-
-class TestSignDiagnostics:
-    def test_single_root_all_positive(self):
-        ledger, _ = ledger_for([2.0])
-        (rec,) = sign_diagnostics(ledger)
-        assert rec.k == 1
-        assert rec.sign_p_minus == 1
-        assert rec.sign_p_plus == 1
-        assert rec.sign_denominator == 1
-
-    def test_alternation_two_bound_states(self):
-        ledger, _ = ledger_for(EX42_POTENTIAL)
-        recs = sign_diagnostics(ledger)
-        assert [r.k for r in recs] == [1, 2]
-        for r in recs:
-            assert r.denominator_matches_parity
-            assert r.product_matches_parity
-
-    def test_empty_products_with_left_resonances_absent(self):
-        ledger, _ = ledger_for(EX42_POTENTIAL)
-        for r in sign_diagnostics(ledger):
-            assert r.sign_p_minus == 1  # p = 0, empty product
-
-    def test_random_potentials_alternate(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            b = int(rng.integers(1, 8))
-            v = rng.uniform(-3, 3, b)
-            if v[-1] == 0:
-                continue
-            ledger, _ = ledger_for(list(v))
-            for r in sign_diagnostics(ledger):
-                assert r.denominator_matches_parity, list(v)
-                assert r.product_matches_parity, list(v)
 
 
 def exact_count(values) -> int:
