@@ -96,7 +96,9 @@ _EXT_SCALE = 1e-10
 class NumericConfig:
     """Classification thresholds and the precision mode shared by the pipeline.
 
-    tau_real:    |Im z| below which a root is snapped to the real axis.
+    tau_real:    |Im z| below which a root is snapped to the real axis;
+                 also how far below 1, at least 4 ulps, |z| of a nonreal
+                 root must be for it to count as inside the unit circle.
     tau_cluster: pairwise distance below which roots merge into one
                  multiple root.
     tau_edge:    distance to z = +-1 below which a real root counts as an

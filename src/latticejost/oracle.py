@@ -6,10 +6,15 @@ symmetric tridiagonal M x M matrix with diagonal 2 + V_n and off-diagonal
 energies with error decaying like |alpha|^(2M), giving a root-free
 cross-check of the polynomial pipeline.
 
-Only those out-of-band eigenvalues are computed: Sturm-sequence bisection
-(Barth, Martin & Wilkinson, Numer. Math. 9, 1967; LAPACK stebz) is run on
-the two intervals below -margin and above 4 + margin, closed by Gershgorin
-bounds, so the cost follows the number of bound states, not M.
+The matrix is a compression of the half-line operator, so it has no more
+eigenvalues below 0, or above 4, than the operator has bound states there:
+at most N <= b in all.  oracle_bound_states uses that bound to pick the
+cheaper of two LAPACK kernels.  Sturm-sequence bisection (Barth, Martin &
+Wilkinson, Numer. Math. 9, 1967; stebz) on the two intervals below -margin
+and above 4 + margin spends O(M) per step on each eigenvalue it finds, with
+one step per bit of the result: O(b M bits) in all.  One root-free QR pass
+over the whole spectrum (the Pal-Walker-Kahan variant; sterf) costs O(M^2)
+whatever b is.  So the cost is about min(b M bits, M^2).
 
 scipy is imported inside truncated_eigenvalues and oracle_bound_states,
 its only users, so that importing latticejost and the analyze, sweep and
@@ -23,6 +28,12 @@ import numpy as np
 from .core import Potential
 
 __all__ = ["truncated_eigenvalues", "oracle_bound_states", "match_energies"]
+
+# One sterf pass over all M eigenvalues costs about as much as bisecting
+# M / _QR_CROSSOVER of them, at any M: measured on a 2-core x86-64 box
+# (scipy 1.17), the two kernels tie at 21, 42 and 62 states for M = 400,
+# 800 and 1200 (about 14 ms at M = 800).
+_QR_CROSSOVER = 20
 
 
 def truncated_eigenvalues(V: Potential, M: int) -> np.ndarray:
@@ -49,9 +60,11 @@ def _truncation(V: Potential, M: int) -> tuple[np.ndarray, np.ndarray]:
 def oracle_bound_states(V: Potential, M: int = 800, margin: float = 1e-6) -> list[float]:
     """Eigenvalues clear of the continuous band: lambda < -margin or > 4 + margin.
 
-    Bisects only the two out-of-band intervals (lo, -margin] and
-    (4 + margin, hi], with lo and hi outside the Gershgorin bounds of the
-    spectrum; the strict filter then drops an eigenvalue equal to -margin.
+    While 20 b <= M (_QR_CROSSOVER), bisects only the two out-of-band
+    intervals (lo, -margin] and (4 + margin, hi], lo and hi outside the
+    Gershgorin bounds, at a cost that grows with the eigenvalues found, at
+    most b; above that, one QR pass (sterf) over all M eigenvalues costs
+    less.  The strict filter drops an eigenvalue equal to -margin.
     Ascending, and equal to the out-of-band part of truncated_eigenvalues.
     """
     from scipy.linalg import eigh_tridiagonal
@@ -59,17 +72,20 @@ def oracle_bound_states(V: Potential, M: int = 800, margin: float = 1e-6) -> lis
     if margin <= 0:
         raise ValueError("margin must be positive")
     diag, off = _truncation(V, M)
-    # every eigenvalue lies within 2 of a diagonal entry (Gershgorin)
-    lo = min(float(diag.min()) - 2.0, -margin) - 1.0
-    hi = max(float(diag.max()) + 2.0, 4.0 + margin) + 1.0
-    out: list[float] = []
-    for interval in ((lo, -margin), (4.0 + margin, hi)):
-        eigs = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="v", select_range=interval,
-            lapack_driver="stebz",
-        )
-        out.extend(float(x) for x in eigs if x < -margin or x > 4.0 + margin)
-    return out
+    if V.b * _QR_CROSSOVER > M:
+        eigs = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
+    else:
+        # every eigenvalue lies within 2 of a diagonal entry (Gershgorin)
+        lo = min(float(diag.min()) - 2.0, -margin) - 1.0
+        hi = max(float(diag.max()) + 2.0, 4.0 + margin) + 1.0
+        eigs = np.concatenate([
+            eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="v", select_range=interval,
+                lapack_driver="stebz",
+            )
+            for interval in ((lo, -margin), (4.0 + margin, hi))
+        ])
+    return eigs[(eigs < -margin) | (eigs > 4.0 + margin)].tolist()
 
 
 def match_energies(

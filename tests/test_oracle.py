@@ -53,23 +53,57 @@ class TestOracleBoundStates:
             oracle_bound_states(validate_potential([2.0]), margin=0.0)
 
     def test_equals_filtered_full_spectrum(self):
-        # out-of-band bisection must reproduce the strictly filtered full
-        # spectrum of the same truncation
+        # either kernel (bisection of the out-of-band intervals while
+        # 20 b <= M, one QR pass over the whole spectrum above) must
+        # reproduce the strictly filtered full spectrum of the same truncation
         rng = np.random.default_rng(23)
-        potentials = []
+        cases = []
         for _ in range(50):
             vals = rng.uniform(-3, 3, int(rng.integers(1, 21)))
             if vals[-1] == 0.0:
                 vals[-1] = 1.0
-            potentials.append(validate_potential(list(vals)))
-        potentials += [alternating_potential(b, 2.0) for b in (40, 110)]
-        for V in potentials:
-            out = oracle_bound_states(V)
+            cases.append((validate_potential(list(vals)), 800))
+        cases += [(validate_potential(list(rng.uniform(-3, 3, b))), 800) for b in (60, 110)]
+        cases += [(alternating_potential(b, 2.0), 800) for b in (40, 110)]
+        cases.append((validate_potential(list(rng.uniform(-3, 3, 10))), 120))
+        for V, M in cases:
+            out = oracle_bound_states(V, M=M)
             full = [
-                x for x in truncated_eigenvalues(V, 800) if x < -1e-6 or x > 4.0 + 1e-6
+                x for x in truncated_eigenvalues(V, M) if x < -1e-6 or x > 4.0 + 1e-6
             ]
             assert len(out) == len(full), list(V.values)
             assert np.max(np.abs(np.subtract(out, full)), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "b, M, driver",
+        [(40, 800, "stebz"), (41, 800, "sterf"), (6, 120, "stebz"), (10, 120, "sterf")],
+    )
+    def test_kernel_follows_the_support_bound(self, monkeypatch, b, M, driver):
+        import scipy.linalg
+
+        drivers = []
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs["lapack_driver"])
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        oracle_bound_states(alternating_potential(b, 2.0), M=M)
+        assert set(drivers) == {driver}
+
+    @pytest.mark.parametrize("b, M", [(10, 120), (110, 800)], ids=["M120-b10", "alt-b110"])
+    def test_qr_kernel_drops_eigenvalues_inside_the_margin(self, b, M):
+        # 20 b > M, so the whole spectrum comes from one QR pass; a margin
+        # wider than the shallowest state below the band must drop it
+        V = alternating_potential(b, 2.0)
+        full = truncated_eigenvalues(V, M)
+        shallow = max(x for x in full if x < 0.0)
+        margin = 2.0 * abs(shallow)
+        out = oracle_bound_states(V, M=M, margin=margin)
+        kept = [x for x in full if x < -margin or x > 4.0 + margin]
+        assert len(out) == len(kept) < len(oracle_bound_states(V, M=M))
+        assert np.max(np.abs(np.subtract(out, kept)), initial=0.0) <= 1e-12
 
     def test_agrees_with_polynomial_pipeline(self):
         rng = np.random.default_rng(17)

@@ -233,6 +233,26 @@ class TestClassify:
         with pytest.raises(UnitCircleViolationError):
             classify_zeros(bad, CFG, b=2)
 
+    def test_extended_root_on_the_circle_is_a_resonance(self):
+        # |0.6 + 0.8i| is 1.0 in double, and 1 - tau_real is 1.0 in extended
+        # precision: the root is a resonance, not a violation
+        z = complex(0.6, 0.8)
+        assert abs(z) == 1.0
+        roots = [(z.conjugate(), 1), (z, 1), (complex(0.5), 1)]
+        ledger = classify_zeros(roots, NumericConfig.extended(), b=2)
+        assert (ledger.Z_c, ledger.N) == (1, 1)
+
+    def test_extended_resonances_crowding_the_circle(self):
+        # past b ~ 30 nonreal zeros lie within an ulp of the unit circle
+        ext = NumericConfig.extended()
+        rng = np.random.default_rng(9)
+        for b in (32, 40, 60):
+            for _ in range(3):
+                V = validate_potential(list(rng.uniform(-3, 3, b)))
+                report = analyze(V, ext)
+                assert report.verdicts.all_theorems_hold, (b, list(V.values))
+                assert report.ledger.N == len(bound_state_scan(V, ext)), (b, list(V.values))
+
     def test_edge_zero_detection(self):
         # f0 = (1 - z)(1 + 2z) = 1 + z - 2z^2 has an exceptional zero at z = 1
         roots = [(complex(1.0), 1), (complex(-0.5), 1), (complex(3.0), 1)]
