@@ -16,10 +16,12 @@ Two evaluation routes are provided on purpose:
   recursion, which stays well conditioned on and inside the unit circle at
   any support length.
 
-The two coefficient certificates read the one built polynomial: the
-small-coefficient test for N = 0 (:func:`_small_coefficients`) and the
+The coefficient certificates read the one built polynomial: the
+small-coefficient test for N = 0 (:func:`_small_coefficients`), the
 Rouche margin for N = b, |prod V_j| against the coefficients of
-G = f0 - (prod V_j) z^b (:func:`_rouche_margin`).
+G = f0 - (prod V_j) z^b (:func:`_rouche_margin`), and the parity
+f0^{-V}(z) = f0^V(-z) of the sign-flip law on the exact ints
+(:func:`_negation_is_parity`).
 """
 
 from __future__ import annotations
@@ -125,16 +127,6 @@ def jost_coefficients(V: Potential) -> JostPolynomial:
     return _polynomial(*_int_coefficients(V.values), V.values)
 
 
-def _mirrored(p: JostPolynomial) -> JostPolynomial:
-    """The polynomial of -V from V's: f0^{-V}(z) = f0^V(-z), so c_j -> (-1)^j c_j.
-
-    The floats are rounded from the negated exact values, so they equal
-    jost_coefficients(V.negated()) bit for bit (an exact zero stays 0.0).
-    """
-    ints = [-c if j % 2 else c for j, c in enumerate(p.ints)]
-    return _polynomial(ints, p.shift, tuple(-v for v in p.values))
-
-
 def jost_eval(p: JostPolynomial | Sequence[float], z: complex) -> complex:
     """Horner evaluation of the coefficient vector at z."""
     coeffs = p.coeffs if isinstance(p, JostPolynomial) else p
@@ -171,6 +163,18 @@ def _small_coefficients(p: JostPolynomial) -> bool:
     Then |f0| >= 1/(2b) throughout (-1, 1), which forces N = 0.
     """
     return max(abs(c) for c in p.coeffs[1:]) < 1.0 / (2 * p.b)
+
+
+def _negation_is_parity(p: JostPolynomial) -> bool:
+    """Whether -V's exact coefficients are p's under c_j -> (-1)^j c_j.
+
+    f0^{-V}(z) = f0^V(-z) is the identity behind the sign-flip law: -V's
+    dyadic ints are built anew from the negated values and compared with
+    p.ints, at equal shift.  Equal polynomials have negated zero multisets,
+    so this certifies the law with no rounding anywhere.
+    """
+    ints, shift = _int_coefficients([-v for v in p.values])
+    return shift == p.shift and ints == [-c if j % 2 else c for j, c in enumerate(p.ints)]
 
 
 def _rouche_margin(p: JostPolynomial) -> float:

@@ -13,12 +13,12 @@ from typing import Optional
 from .core import NumericConfig, Potential
 from .jost import (
     JostPolynomial,
-    _mirrored,
+    _negation_is_parity,
     _rouche_margin,
     _small_coefficients,
     jost_coefficients,
 )
-from .spectrum import ZeroLedger, find_zeros
+from .spectrum import ZeroLedger
 
 __all__ = [
     "LawVerdicts",
@@ -99,48 +99,15 @@ def check_small_coefficient_criterion(
     return ledger.N == 0
 
 
-def _multiset_close(a: list[complex], b: list[complex], tol: float) -> bool:
-    """Greedy nearest matching of two complex multisets within tol * max(1, |x|)."""
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for x in a:
-        best, best_d = None, tol * max(1.0, abs(x))
-        for i, y in enumerate(remaining):
-            d = abs(x - y)
-            if d < best_d:
-                best, best_d = i, d
-        if best is None:
-            return False
-        remaining.pop(best)
-    return True
-
-
-def _mirrors_negated(zeros: list[complex], p: JostPolynomial, cfg: NumericConfig) -> bool:
-    """Whether V's zeros (multiplicity-expanded) are the negated zeros of -V.
-
-    -V's polynomial is V's polynomial p with its odd coefficients negated,
-    by the parity f0^{-V}(z) = f0^V(-z); its zeros are found anew, so the
-    comparison tests the root finder.  The ledger moves an edge zero by up
-    to tau_edge when it snaps it to +-1; the tolerance allows for that.  It
-    scales with |z| beyond the unit circle, where the double spacing of far
-    zeros (past about 1e6) exceeds any absolute tolerance.
-    """
-    mirrored = find_zeros(_mirrored(p), cfg)
-    negated = [-z for z, m in mirrored for _ in range(m)]
-    return _multiset_close(zeros, negated, max(cfg.tau_cluster, 1e-10) + cfg.tau_edge)
-
-
 def check_sign_flip_symmetry(V: Potential, cfg: NumericConfig) -> bool:
     """Negating the potential negates the zero multiset of f0.
 
-    Follows from the coefficient parity f0^{-V}(z) = f0^V(-z).  V's
-    polynomial is built once; -V's is derived from it by that parity, and
-    the zeros of both are found by :func:`find_zeros`.
+    Certified on the exact coefficients: -V's ints are V's under
+    c_j -> (-1)^j c_j, that is f0^{-V}(z) = f0^V(-z), so -V's zeros are V's
+    negated with no root found and no tolerance (:func:`_negation_is_parity`).
+    cfg no longer matters; it stays for callers that pass it.
     """
-    p = jost_coefficients(V)
-    roots = find_zeros(p, cfg)
-    return _mirrors_negated([z for z, m in roots for _ in range(m)], p, cfg)
+    return _negation_is_parity(jost_coefficients(V))
 
 
 def evaluate_laws(
@@ -148,10 +115,10 @@ def evaluate_laws(
 ) -> LawVerdicts:
     """Run every checker on V's polynomial p and ledger, bundling the verdicts.
 
-    The ledger must classify p's roots under cfg: V's zeros for the sign-flip
-    verdict are taken from it, and the Rouche margin from p, so nothing of V
-    is rebuilt.  -V's polynomial is p with its odd coefficients negated;
-    only -V's zeros are found here.
+    The ledger must classify p's roots under cfg; the counting verdicts read
+    it, and the Rouche margin reads p, so nothing of V is rebuilt.  The
+    sign-flip verdict finds no zeros: -V's exact ints are built once and
+    must be p.ints with the odd ones negated (:func:`_negation_is_parity`).
     """
     ok_minus, eps_minus, ok_plus, eps_plus = check_resonance_inequalities(ledger)
     rouche = (ledger.N == V.b) if _rouche_margin(p) > 0 else None
@@ -164,5 +131,5 @@ def evaluate_laws(
         eps_plus=eps_plus,
         small_coeff_certificate=check_small_coefficient_criterion(p, ledger),
         rouche_certificate=rouche,
-        sign_flip_symmetry=_mirrors_negated(ledger.all_roots_expanded(), p, cfg),
+        sign_flip_symmetry=_negation_is_parity(p),
     )

@@ -161,7 +161,8 @@ def _aberth(
     evaluated by :func:`_horner_fixed` from its exact coefficients
     ints / 2^shift, rounded to scale 2^C (see :func:`_fixed_scales`).  Each
     pass updates every root from the previous pass's roots; it stops once
-    every correction is below 10^-(dps-8) in absolute value.  The roots come
+    every correction is below 10^-(dps-8) in absolute value, and raises
+    NoConvergenceError if maxit passes do not get there.  The roots come
     back as correctly rounded complex values.
     """
     F, C = _fixed_scales(ints, shift, seeds, dps)
@@ -207,6 +208,8 @@ def _aberth(
         roots = new
         if maxcorr2 * tol_scale < one * one:
             break
+    else:
+        raise NoConvergenceError(f"the Aberth refinement has not converged in {maxit} passes")
     return [complex(zr / one, zi / one) for zr, zi in roots]
 
 
@@ -420,8 +423,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
 
     A leading coefficient V_b so small that the matrix's last row leaves
     double range, or a root beyond double range, raises FloatOverflowError
-    in either precision; an eigensolver that does not converge raises
-    NoConvergenceError.
+    in either precision; an eigensolver or an :func:`_aberth` refinement
+    that does not converge raises NoConvergenceError.
     """
     if p.b == 0:
         return []
@@ -519,15 +522,6 @@ class ZeroLedger:
                 vals.extend([cz.z.real] * cz.multiplicity)
         vals.sort()
         return vals
-
-    def all_roots_expanded(self) -> list[complex]:
-        """Real zeros ascending, then complex zeros; multiplicity-expanded."""
-        out: list[complex] = [complex(v) for v in self.real_roots_expanded()]
-        cplx = [cz for cz in self.zeros if cz.kind == COMPLEX_PAIR]
-        cplx.sort(key=lambda cz: (cz.z.real, cz.z.imag))
-        for cz in cplx:
-            out.extend([cz.z] * cz.multiplicity)
-        return out
 
     def bound_state_roots(self) -> list[tuple[int, float]]:
         """(k, alpha) with k the 1-based position in the real ordering."""

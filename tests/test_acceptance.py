@@ -339,7 +339,7 @@ def test_cubic_consistency_relation():
         if vals[1] == 0.0:
             vals[1] = 1.0
         ledger, _, _ = _ledger(vals)
-        triple = ledger.all_roots_expanded()
+        triple = [cz.z for cz in ledger.zeros for _ in range(cz.multiplicity)]
         res = relation(triple)
         worst = max(worst, res)
         if res >= 1e-10:

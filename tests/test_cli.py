@@ -320,7 +320,7 @@ class TestDesign:
 
     def test_amplify_builds_three_polynomials(self, capsys, count_calls):
         # two amplitudes tried by the search, then the report's; its margin
-        # and -V's polynomial come from that one
+        # comes from that one, and the sign-flip verdict builds only -V's ints
         built = count_calls(jost_coefficients)
         code, out, _ = run(capsys, "design", "amplify", "--signs", "+,-,+")
         assert code == EXIT_OK

@@ -10,7 +10,7 @@ from latticejost.core import Potential, validate_potential
 from latticejost.errors import FloatOverflowError, ZeroArgumentError
 from latticejost.jost import (
     _int_coefficients,
-    _mirrored,
+    _negation_is_parity,
     jost_coefficients,
     jost_eval,
     jost_solution,
@@ -101,18 +101,16 @@ def _parity_panel():
 
 @pytest.mark.parametrize("values", _parity_panel())
 def test_mirrored_equals_negated_build(values):
-    # the sign-flip verdict derives -V's polynomial from V's by parity; it must
-    # be exactly what the recursion builds from -V's own values
+    # the sign-flip verdict compares V's exact ints, odd ones negated, with
+    # -V's own build; -V's floats are then V's mirrored too
     V = validate_potential(values)
-    got = _mirrored(jost_coefficients(V))
+    p = jost_coefficients(V)
+    assert _negation_is_parity(p)
     want = jost_coefficients(V.negated())
-    assert got.b == want.b
-    assert len(got.coeffs) == len(want.coeffs)
-    for a, c in zip(got.coeffs, want.coeffs):
-        assert a == c and math.copysign(1.0, a) == math.copysign(1.0, c)
-    assert got.exact == want.exact
-    assert [type(c) for c in got.exact] == [type(c) for c in want.exact]
-    assert got.values == want.values
+    assert want.shift == p.shift
+    assert want.ints == tuple(-c if j % 2 else c for j, c in enumerate(p.ints))
+    assert want.coeffs == tuple(-c if j % 2 else c for j, c in enumerate(p.coeffs))
+    assert want.values == tuple(-v for v in p.values)
 
 
 def _fraction_recursion(values) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -71,8 +72,8 @@ class TestIndividualChecks:
     )
     @pytest.mark.parametrize("cfg", [CFG, EXT], ids=["std", "ext"])
     def test_sign_flip_holds_on_far_zeros(self, cfg, values):
-        # zeros near 1e75 and 5e49, where V's and -V's polished zeros may
-        # differ in the last bit, far beyond any absolute tolerance
+        # zeros near 1e75 and 5e49, whose polished values may differ from
+        # -V's in the last bit; the verdict reads the exact ints instead
         assert analyze(validate_potential(values), cfg).verdicts.sign_flip_symmetry
 
 
@@ -121,14 +122,24 @@ class TestOneAnalysisPerPotential:
         solved = count_calls(find_zeros)
         V = validate_potential([1.3, -0.4, 2.2, 0.7])
         assert analyze(V, cfg).verdicts.all_theorems_hold
-        # -V's polynomial is V's by parity, but its zeros are found anew, for
-        # the sign-flip verdict to mirror
+        # the sign-flip verdict compares -V's exact ints with V's by parity,
+        # so it builds no second polynomial and finds no second set of zeros
         assert [args[0] for args in built] == [V]
-        assert len(solved) == 2
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_sign_flip_verdict_is_not_vacuous(self, j):
+        # one odd-index int negated breaks the parity with -V's build
+        V, p, ledger = pipeline([1.3, -0.4, 2.2])
+        ints = list(p.ints)
+        ints[j] = -ints[j]
+        v = evaluate_laws(V, dataclasses.replace(p, ints=tuple(ints)), ledger, CFG)
+        assert v.sign_flip_symmetry is False
+        assert v.all_theorems_hold is False
 
     def test_edge_snapped_zero_still_mirrors(self):
-        # the ledger moves V's zero at 1 - 1e-5 to the edge +1; -V's mirrored
-        # zero is not moved, so the match must allow for the snap
+        # the ledger moves V's zero at 1 - 1e-5 to the edge +1; the sign-flip
+        # verdict reads the exact coefficients, never the snapped zero
         cfg = NumericConfig(tau_edge=1e-4)
         V = validate_potential([-1 / (1 - 1e-5)])
         report = analyze(V, cfg)

@@ -18,6 +18,7 @@ from latticejost.design import alternating_potential
 from latticejost.jost import JostPolynomial, jost_coefficients
 from latticejost.report import analyze
 from latticejost.spectrum import (
+    _aberth,
     _jost_aberth,
     _linearization,
     _norm_c2,
@@ -166,9 +167,23 @@ def test_restart_finds_the_roots_the_eigensolver_loses(values, count_calls):
     restarts = count_calls(_jost_aberth)
     V = validate_potential(values)
     report = analyze(V, CFG)
-    assert len(restarts) == 2  # V and -V
+    assert len(restarts) == 1  # V only: the sign-flip verdict finds no zeros
     assert report.verdicts.all_theorems_hold
     assert report.ledger.N == len(bound_state_scan(V, CFG))
+
+
+def test_aberth_raises_at_its_pass_cap():
+    # seeds 1e-3 off the roots need more than one pass to reach 42 digits;
+    # with the default cap the same seeds come back to the roots
+    p = jost_coefficients(validate_potential([1.3, -0.4, 2.2]))
+    roots = [z for z, m in find_zeros(p, CFG) for _ in range(m)]
+    seeds = [z + 1e-3 for z in roots]
+    with pytest.raises(NoConvergenceError, match="1 passes"):
+        _aberth(p.ints, p.shift, seeds, maxit=1)
+    refined = _aberth(p.ints, p.shift, seeds)
+    assert sorted(refined, key=lambda z: (z.real, z.imag)) == pytest.approx(
+        sorted(roots, key=lambda z: (z.real, z.imag)), abs=1e-14
+    )
 
 
 def _conjugate_closed(roots) -> bool:
