@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -23,7 +22,7 @@ from .design import (
     shrink_to_no_bound,
 )
 from .errors import InconsistentRootsError, LatticeJostError, TrailingZeroError
-from .jost import _rouche_margin, jost_coefficients
+from .jost import _rouche_margin
 from .oracle import match_energies, oracle_bound_states
 from .report import _analyze, analyze
 from .spectrum import bound_state_scan
@@ -36,15 +35,8 @@ EXIT_PIPE = 1  # standard output closed before the command finished writing
 SWEEP_HEADER = ["b", "N", "min_edge_distance", "precision", "ms"]
 
 
-_TOLERANCES = ("tau_real", "tau_cluster", "tau_edge")
-
-
-def _add_flags(sub: argparse.ArgumentParser, tolerances: bool = True,
-               precision: bool = True) -> None:
-    """The output flags, after the NumericConfig flags the command reads."""
-    if tolerances:
-        for field in _TOLERANCES:  # --tol-real sets tau_real, and so on
-            sub.add_argument("--tol-" + field[4:], dest=field, type=float, default=None)
+def _add_flags(sub: argparse.ArgumentParser, precision: bool = True) -> None:
+    """The output flags, after --precision when the command reads it."""
     if precision:
         sub.add_argument("--precision", choices=("std", "ext"), default="std")
     sub.add_argument("--out", type=str, default=None)
@@ -52,11 +44,9 @@ def _add_flags(sub: argparse.ArgumentParser, tolerances: bool = True,
 
 
 def _config_from(args: argparse.Namespace) -> NumericConfig:
-    """The NumericConfig of the flags a command took, the default for those it lacks."""
+    """The NumericConfig of --precision, standard for a command without it."""
     ext = getattr(args, "precision", "std") == "ext"
-    base = NumericConfig.extended() if ext else NumericConfig()
-    given = {f: getattr(args, f) for f in _TOLERANCES if getattr(args, f, None) is not None}
-    return dataclasses.replace(base, **given)
+    return NumericConfig.extended() if ext else NumericConfig()
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -160,8 +150,8 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
             }
         elif args.mode == "shrink":
             pot = load_potential(args.potential)
-            t, scaled = shrink_to_no_bound(pot)
-            rep = analyze(scaled, cfg)
+            t, scaled, p = shrink_to_no_bound(pot)
+            rep = _analyze(scaled, p, cfg, time.perf_counter())
             doc = {
                 "t": t,
                 "potential": list(scaled.values),
@@ -169,8 +159,7 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
                 "small_coeff_certificate": rep.verdicts.small_coeff_certificate,
             }
         elif args.mode == "amplify":
-            A, pot = amplify_to_full_bound(_parse_signs(args.signs))
-            p = jost_coefficients(pot)
+            A, pot, p = amplify_to_full_bound(_parse_signs(args.signs))
             doc = {
                 "A": A,
                 "potential": list(pot.values),
@@ -265,17 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--family", default="alternating")
     p_sw.add_argument("--amplitude", type=float, default=2.0)
     p_sw.add_argument("--bmax", type=int, required=True)
-    _add_flags(p_sw, tolerances=False)
+    _add_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_de = sub.add_parser("design", help="constructive families and inverse problems")
     de_sub = p_de.add_subparsers(dest="mode", required=True)
     de_b2 = de_sub.add_parser("b2")
     de_b2.add_argument("--roots", required=True, help="three comma-separated roots")
-    _add_flags(de_b2, tolerances=False, precision=False)
+    _add_flags(de_b2, precision=False)
     de_b3 = de_sub.add_parser("b3")
     de_b3.add_argument("--roots", required=True, help="four comma-separated roots")
-    _add_flags(de_b3, tolerances=False, precision=False)
+    _add_flags(de_b3, precision=False)
     de_sh = de_sub.add_parser("shrink")
     de_sh.add_argument("--potential", required=True)
     _add_flags(de_sh)
@@ -323,12 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_list_flags(argv))
     try:
-        cfg = _config_from(args)
-    except ValueError as exc:  # a tolerance NumericConfig rejects
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        code = args.func(args, cfg)
+        code = args.func(args, _config_from(args))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away; point stdout at devnull so that the flush at

@@ -99,8 +99,9 @@ class NumericConfig:
     tau_real:    |Im z| below which a root is snapped to the real axis;
                  also how far below 1, at least 4 ulps, |z| of a nonreal
                  root must be for it to count as inside the unit circle.
-    tau_cluster: pairwise distance below which roots merge into one
-                 multiple root.
+    tau_cluster: pairwise distance below which roots with |z| >= 1 merge
+                 into one multiple root; the zeros inside the unit disk
+                 are bound states, real and simple, and never merge.
     tau_edge:    distance to z = +-1 below which a real root counts as an
                  edge (exceptional) zero.
     """
@@ -171,7 +172,9 @@ def load_potential(source: str | Path) -> Potential:
     """Parse a potential from a file path or an inline string.
 
     Accepted formats: a JSON array of reals, or plain text with one real
-    per line.  An inline string is parsed with the same two rules.
+    per line.  An inline string is parsed with the same two rules.  A JSON
+    entry must be a number: null, true, a string, an array or an object
+    raises ValueError.
     """
     text: str
     path = Path(source) if not isinstance(source, Path) else source
@@ -187,13 +190,14 @@ def load_potential(source: str | Path) -> Potential:
     if not text:
         return Potential(())
     try:
-        data = json.loads(text)
+        # an int too large for a float parses to inf, which Potential rejects
+        data = json.loads(text, parse_int=float)
     except json.JSONDecodeError:
         data = None
     if data is not None:
-        if not isinstance(data, list):
+        if not isinstance(data, list) or any(type(x) is not float for x in data):
             raise ValueError("potential JSON must be an array of reals")
-        return validate_potential([float(x) for x in data])
+        return validate_potential(data)
     values = []
     for line in text.splitlines():
         line = line.strip()

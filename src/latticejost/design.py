@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import NumericConfig, Potential
 from .errors import FloatOverflowError, InconsistentRootsError, NoConvergenceError
-from .jost import JostPolynomial, _small_coefficients, jost_coefficients, rouche_margin
+from .jost import JostPolynomial, _rouche_margin, _small_coefficients, jost_coefficients
 from .report import SpectralReport, _analyze, analyze
 
 __all__ = [
@@ -43,11 +43,12 @@ def alternating_potential(b: int, amplitude: float = 2.0) -> Potential:
     return Potential(tuple((-1.0) ** n * amplitude for n in range(1, b + 1)))
 
 
-def shrink_to_no_bound(V: Potential) -> tuple[float, Potential]:
+def shrink_to_no_bound(V: Potential) -> tuple[float, Potential, JostPolynomial]:
     """Halve a scale t from 1 until every coefficient beyond 1 is below 1/(2b).
 
     The returned scaled potential carries the no-bound-state certificate
-    (and stays in the class since t V_b != 0).  Termination is guaranteed:
+    (and stays in the class since t V_b != 0); its polynomial, built by the
+    search, comes back with it.  Termination is guaranteed:
     every coefficient has positive degree in the potential values, unless
     t V_b underflows to 0 first, which raises FloatOverflowError.
     """
@@ -61,16 +62,18 @@ def shrink_to_no_bound(V: Potential) -> tuple[float, Potential]:
                 "small-coefficient certificate applies"
             )
         scaled = V.scaled(t)
-        if _small_coefficients(jost_coefficients(scaled)):
-            return t, scaled
+        p = jost_coefficients(scaled)
+        if _small_coefficients(p):
+            return t, scaled, p
         t /= 2.0
 
 
-def amplify_to_full_bound(signs: Sequence[int]) -> tuple[float, Potential]:
+def amplify_to_full_bound(signs: Sequence[int]) -> tuple[float, Potential, JostPolynomial]:
     """Double a common amplitude until the unit-circle certificate fires.
 
     Input is a +-1 pattern of length b; the result |V_j| = A has N = b,
-    certified by a positive margin |prod V_j| - sum |G_j|.
+    certified by a positive margin |prod V_j| - sum |G_j|, and comes back
+    with its polynomial.
     """
     if not signs:
         raise ValueError("sign pattern must be nonempty")
@@ -79,8 +82,9 @@ def amplify_to_full_bound(signs: Sequence[int]) -> tuple[float, Potential]:
     A = 2.0
     while True:
         pot = Potential(tuple(float(s) * A for s in signs))
-        if rouche_margin(pot) > 0:
-            return A, pot
+        p = jost_coefficients(pot)
+        if _rouche_margin(p) > 0:
+            return A, pot, p
         A *= 2.0
 
 

@@ -3,10 +3,11 @@
 Roots are found from the potential itself: the eigenvalues of one
 (2b - 1)-square linearization of the quadratic eigenproblem behind f0, each
 polished by Newton steps on the Jost recursion in the chart (z inside the
-unit circle, 1/z outside) where that recursion is stable.  They are then
-merged into multiplicity clusters and binned by the interval scheme: bound
-states in (-1,0) and (0,1), real resonances beyond +-1, exceptional zeros at
-+-1, and complex pairs outside the unit circle.
+unit circle, 1/z outside) where that recursion is stable.  The roots with
+|z| >= 1 are merged into multiplicity clusters; those inside are bound
+states, real and simple, and stay apart.  All are binned by the interval
+scheme: bound states in (-1,0) and (0,1), real resonances beyond +-1,
+exceptional zeros at +-1, and complex pairs outside the unit circle.
 
 In extended precision :func:`find_zeros` refines the roots from the exact
 coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
@@ -404,6 +405,11 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     """All roots of the Jost polynomial, clustered by multiplicity.
 
     Returns (root, multiplicity) pairs; multiplicities sum to the degree.
+    Only roots with |z| >= 1 closer than cfg.tau_cluster merge
+    (:func:`_cluster`).  One with |z| < 1 is an eigenvalue of the
+    self-adjoint Dirichlet Jacobi operator, real and simple (Teschl 2000),
+    so it keeps multiplicity 1; two equal in double stay two entries, which
+    :func:`norming_constants` reports as a multiple zero.
     The roots come from the potential, never from the rounded coefficients:
     they are the eigenvalues of :func:`_linearization`, built from p.values,
     each polished by :func:`_jost_newton` on the Jost recursion
@@ -417,9 +423,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     of the exact coefficients (:func:`_hull_seeds`), move by Aberth steps on
     the Jost recursion (:func:`_jost_aberth`) and are polished once more; if
     a polish still does not converge, NoConvergenceError.  Extended
-    precision, and a restart in either precision, then refine all roots by
-    :func:`_aberth` on the exact coefficients p.ints, so a restart's roots
-    are correctly rounded.
+    precision then refines all roots by :func:`_aberth` on the exact
+    coefficients p.ints; standard precision stays in double throughout.
 
     A leading coefficient V_b so small that the matrix's last row leaves
     double range, or a root beyond double range, raises FloatOverflowError
@@ -440,8 +445,7 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"the eigensolver failed: {exc}") from exc
     polished, converged = _polish(values, list(map(complex, raw)), cfg.tau_real)
-    restarted = not converged
-    if restarted:
+    if not converged:
         try:
             roots = _jost_aberth(values, _hull_seeds(p.ints))
         except OverflowError as exc:
@@ -453,15 +457,15 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
         if not converged:
             raise NoConvergenceError("the roots of the Jost polynomial have not converged")
 
-    if cfg.is_extended or restarted:
+    if cfg.is_extended:
         polished = [complex(z) for z in _aberth(p.ints, p.shift, polished)]
         polished = [
             complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in polished
         ]
 
-    clusters = _cluster(polished, cfg.tau_cluster)
     out = []
-    for z, m in clusters:
+    disk = [(z, 1) for z in polished if _mag(z) < 1.0]  # simple zeros, never merged
+    for z, m in disk + _cluster([z for z in polished if _mag(z) >= 1.0], cfg.tau_cluster):
         if abs(z.imag) < cfg.tau_real:
             z = complex(z.real)
         out.append((z, m))

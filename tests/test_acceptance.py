@@ -18,6 +18,7 @@ from latticejost.design import (
     shrink_to_no_bound,
     verify_b3,
 )
+from latticejost.errors import FloatOverflowError
 from latticejost.jost import jost_coefficients, jost_eval, rouche_margin
 from latticejost.laws import (
     check_count_identity,
@@ -197,9 +198,8 @@ def test_large_support_verdicts_hold():
             n_scan = len(bound_state_scan(V, CFG))
             if not report.verdicts.all_theorems_hold or report.ledger.N != n_scan:
                 failures.append(f"b={b}: N={report.ledger.N} vs scan {n_scan}")
-    # at amplitude 50 the states near -+1/50 lie closer than tau_cluster, so
-    # analyze stops at their norming constants with a typed FloatOverflowError
-    # (with a tighter tau_cluster the deepest c^2 leave double range); the
+    # at amplitude 50 the deepest states' c^2 leave double range, so analyze
+    # stops at their norming constants with a typed FloatOverflowError; the
     # ledger and the laws run alone
     for amplitude in (2.0, 50.0):
         V = alternating_potential(110, amplitude)
@@ -208,6 +208,24 @@ def test_large_support_verdicts_hold():
         if not verdicts.all_theorems_hold or not ledger.N == len(bound_state_scan(V, CFG)) == 110:
             failures.append(f"alternating {amplitude}: N={ledger.N}")
     _verdict("large-support verdicts", failures, "15 draws and 2 alternating at b <= 110")
+
+
+def test_alternating_close_bound_states_stay_apart():
+    """Std analyze answers the alternating family, states as close as 3e-9."""
+    # the smallest gap between states runs from 1e-5 (amplitude 20, b = 20)
+    # to 3e-9 (amplitude 200, b = 40), below tau_cluster = 1e-6 in all but
+    # two cases; bound states are simple, so none of them merge
+    failures = []
+    cases = [(a, b) for a in (20.0, 50.0, 200.0) for b in (20, 40)] + [(20.0, 110)]
+    for amplitude, b in cases:
+        V = alternating_potential(b, amplitude)
+        report = analyze(V, CFG)
+        n_scan = len(bound_state_scan(V, CFG))
+        if not report.verdicts.all_theorems_hold or not report.ledger.N == n_scan == b:
+            failures.append(f"amplitude {amplitude}, b={b}: N={report.ledger.N} vs scan {n_scan}")
+    with pytest.raises(FloatOverflowError, match="norming constant of bound state"):
+        analyze(alternating_potential(110, 50.0), CFG)  # a c^2 beyond double range
+    _verdict("alternating close bound states", failures, f"{len(cases)} potentials")
 
 
 def test_random_potential_invariants():
@@ -300,7 +318,7 @@ def test_constructive_certificates():
     failures = []
     for _ in range(50):
         values = _random_potential(rng, 6)
-        t, scaled = shrink_to_no_bound(validate_potential(values))
+        t, scaled, _ = shrink_to_no_bound(validate_potential(values))
         coeffs = jost_coefficients(scaled).coeffs
         if max(abs(c) for c in coeffs[1:]) >= 1.0 / (2 * scaled.b):
             failures.append(f"{values}: shrink hypothesis unmet at t={t}")
@@ -311,7 +329,7 @@ def test_constructive_certificates():
     for b in range(1, 6):
         for mask in range(2**b):
             signs = [1 if mask & (1 << j) else -1 for j in range(b)]
-            A, pot = amplify_to_full_bound(signs)
+            A, pot, _ = amplify_to_full_bound(signs)
             patterns += 1
             if not rouche_margin(pot) > 0:
                 failures.append(f"{signs}: margin not positive at A={A}")

@@ -47,6 +47,23 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "input error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["oracle"],
+            ["design", "shrink", "--potential"],
+            ["design", "extend", "--b", "3", "--potential"],
+        ],
+        ids=["analyze", "oracle", "shrink", "extend"],
+    )
+    @pytest.mark.parametrize("potential", ["[null]", "[[1,2]]", '[{"a":1}]', "[true, 2]"])
+    def test_non_number_json_entry_is_input_error(self, capsys, argv, potential):
+        code, out, err = run(capsys, *argv, potential)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.endswith("error: potential JSON must be an array of reals\n")
+
     def test_out_flag(self, tmp_path, capsys):
         dest = tmp_path / "report.json"
         code, out, _ = run(capsys, "analyze", "[2]", "--out", str(dest))
@@ -100,18 +117,14 @@ class TestAnalyze:
     ids=["analyze", "sweep", "design", "oracle"],
 )
 def test_rejected_tolerance_is_input_error(capsys, argv):
-    # NumericConfig requires tau_cluster >= tau_real; ext sets tau_cluster = 1e-16.
-    # sweep reads no tolerance, so argparse rejects the flag itself
-    if argv[0] == "sweep":
+    # no command takes a tolerance: the theorem keeps the bound states apart
+    for flag in ("--tol-real", "--tol-cluster", "--tol-edge"):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--precision", "ext", "--tol-real", "1e-10"])
+            main([*argv, "--precision", "ext", flag, "1e-10"])
         assert exc.value.code == EXIT_INPUT
-        assert "unrecognized arguments: --tol-real 1e-10" in capsys.readouterr().err
-        return
-    code, out, err = run(capsys, *argv, "--precision", "ext", "--tol-real", "1e-10")
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert err == "input error: tau_cluster must be at least tau_real\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 1e-10" in captured.err
 
 
 _NUMERIC_FLAGS = {
@@ -127,14 +140,15 @@ _COMMANDS = {
     "extend": ["design", "extend", "--potential", "[2]", "--b", "2"],
     "oracle": ["oracle", "[2]"],
 }
-# the numeric flags each command reads; b2 and b3 read none
-_READS = {"sweep": ["--precision"], "b2": [], "b3": []}
+# the numeric flags each command reads; b2 and b3 read none, and none
+# reads a --tol-* flag
+_READS = {"b2": [], "b3": []}
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
 def test_command_takes_only_the_numeric_flags_it_reads(command):
     parser = cli.build_parser()
-    reads = _READS.get(command, list(_NUMERIC_FLAGS))
+    reads = _READS.get(command, ["--precision"])
     for flag, value in _NUMERIC_FLAGS.items():
         argv = [*_COMMANDS[command], flag, value]
         if flag in reads:
@@ -143,17 +157,6 @@ def test_command_takes_only_the_numeric_flags_it_reads(command):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv)
             assert exc.value.code == EXIT_INPUT, argv
-
-
-@pytest.mark.parametrize(
-    "flag", [["--tol-real", "nan"], ["--tol-cluster", "inf"]], ids=["nan", "inf"]
-)
-def test_non_finite_tolerance_is_input_error(capsys, flag):
-    # [2, -1] has two roots, which an infinite tau_cluster would merge
-    code, out, err = run(capsys, "analyze", "[2, -1]", *flag)
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert err == "input error: all thresholds must be positive and finite\n"
 
 
 class TestSweep:
@@ -318,14 +321,24 @@ class TestDesign:
         assert doc["potential"] == [-2.0, 2.0]
         assert doc["N"] == 2
 
-    def test_amplify_builds_three_polynomials(self, capsys, count_calls):
-        # two amplitudes tried by the search, then the report's; its margin
-        # comes from that one, and the sign-flip verdict builds only -V's ints
+    def test_amplify_builds_two_polynomials(self, capsys, count_calls):
+        # the two amplitudes tried by the search; the report and its margin
+        # reuse the last, and the sign-flip verdict builds only -V's ints
         built = count_calls(jost_coefficients)
         code, out, _ = run(capsys, "design", "amplify", "--signs", "+,-,+")
         assert code == EXIT_OK
         assert json.loads(out)["rouche_margin"] == 39.0
-        assert len(built) == 3
+        assert [args[0].values for args in built] == [(2.0, -2.0, 2.0), (4.0, -4.0, 4.0)]
+
+    def test_shrink_builds_each_scale_once(self, capsys, count_calls):
+        # t = 1 .. 1/16; the report reuses the search's last polynomial
+        built = count_calls(jost_coefficients)
+        code, out, _ = run(capsys, "design", "shrink", "--potential", "[2,-3]")
+        assert code == EXIT_OK
+        assert json.loads(out)["t"] == 0.0625
+        assert [args[0].values for args in built] == [
+            (2.0 * t, -3.0 * t) for t in (1.0, 0.5, 0.25, 0.125, 0.0625)
+        ]
 
     @pytest.mark.parametrize("signs", ["+,0", "+,x"])
     def test_amplify_rejects_bad_sign(self, capsys, signs):

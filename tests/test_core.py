@@ -146,3 +146,14 @@ class TestLoadPotential:
 
     def test_empty(self):
         assert load_potential("[]").b == 0
+
+    @pytest.mark.parametrize(
+        "text", ["[null]", "[[1, 2]]", '[{"a": 1}]', "[true, 2]", '["2"]', "{}"]
+    )
+    def test_json_entries_must_be_numbers(self, text):
+        with pytest.raises(ValueError, match="potential JSON must be an array of reals"):
+            load_potential(text)
+
+    def test_json_int_beyond_double_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            load_potential("[1" + "0" * 400 + "]")

@@ -45,26 +45,28 @@ class TestAlternating:
 
 class TestShrink:
     def test_scales_to_certificate(self):
-        t, scaled = shrink_to_no_bound(validate_potential([2.0, -3.0]))
+        t, scaled, p = shrink_to_no_bound(validate_potential([2.0, -3.0]))
         assert 0 < t <= 1.0
-        coeffs = jost_coefficients(scaled).coeffs
+        assert p == jost_coefficients(scaled)  # the search's own build comes back
+        coeffs = p.coeffs
         assert max(abs(c) for c in coeffs[1:]) < 1.0 / 4.0
         assert classified_n(scaled) == 0
 
     def test_already_small(self):
-        t, scaled = shrink_to_no_bound(validate_potential([0.01]))
+        t, scaled, _ = shrink_to_no_bound(validate_potential([0.01]))
         assert t == 1.0
         assert scaled.values == (0.01,)
 
 
 class TestAmplify:
     def test_alternating_pattern(self):
-        A, pot = amplify_to_full_bound([1, -1, 1])
+        A, pot, p = amplify_to_full_bound([1, -1, 1])
+        assert p == jost_coefficients(pot)
         assert rouche_margin(pot) > 0
         assert classified_n(pot) == 3
 
     def test_constant_pattern(self):
-        A, pot = amplify_to_full_bound([-1, -1])
+        A, pot, _ = amplify_to_full_bound([-1, -1])
         assert rouche_margin(pot) > 0
         assert classified_n(pot) == 2
 

@@ -165,11 +165,23 @@ def test_restart_finds_the_roots_the_eigensolver_loses(values, count_calls):
     # the eigenvalues far below the matrix's scale come back as noise that
     # Newton cannot mend; without the restart the first input got N = 1
     restarts = count_calls(_jost_aberth)
+    refinements = count_calls(_aberth)
     V = validate_potential(values)
     report = analyze(V, CFG)
     assert len(restarts) == 1  # V only: the sign-flip verdict finds no zeros
+    assert refinements == []  # the restart stays in double
     assert report.verdicts.all_theorems_hold
     assert report.ledger.N == len(bound_state_scan(V, CFG))
+
+
+@pytest.mark.parametrize("values", [[1e30, -1e20], [-1e100, -1e20]])
+def test_bound_states_closer_than_tau_cluster_stay_apart(values):
+    # the two states, near 1e-20 and 1e-30 or 1e-100 in modulus, lie far
+    # closer than tau_cluster = 1e-6, but bound states are simple and never merge
+    report = analyze(validate_potential(values), CFG)
+    assert report.verdicts.all_theorems_hold
+    assert report.ledger.N == exact_count(values) == 2
+    assert [cz.multiplicity for cz in report.ledger.zeros] == [1, 1, 1]
 
 
 def test_aberth_raises_at_its_pass_cap():
@@ -430,20 +442,24 @@ class TestNormingConstants:
         assert _norm_c2(values, alpha) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "values, cfg, precision",
+        "values, cfg, error, precision",
         [
-            pytest.param([1e40, 1e40], NumericConfig.extended(), "40-digit", id="values0"),
-            pytest.param([1e20, -1e20, 1e20], NumericConfig.extended(), "40-digit",
-                         id="values1"),
-            pytest.param([1e40, 1e40], CFG, "double", id="std-values0"),
-            pytest.param([1e20, -1e20, 1e20], CFG, "double", id="std-values1"),
+            pytest.param([1e40, 1e40], NumericConfig.extended(), NoConvergenceError,
+                         "40-digit", id="values0"),
+            pytest.param([1e20, -1e20, 1e20], NumericConfig.extended(), FloatOverflowError,
+                         "40-digit", id="values1"),
+            pytest.param([1e40, 1e40], CFG, FloatOverflowError, "double", id="std-values0"),
+            pytest.param([1e20, -1e20, 1e20], CFG, FloatOverflowError, "double",
+                         id="std-values1"),
         ],
     )
-    def test_extended_coincident_roots_are_typed(self, values, cfg, precision):
-        # two zeros coincide at the working precision: the bound state is a
-        # cluster of multiplicity > 1, which must surface as a typed error
+    def test_extended_coincident_roots_are_typed(self, values, cfg, error, precision):
+        # two zeros coincide at the working precision, which must surface as a
+        # typed error: two equal bound states are a multiple zero, and the two
+        # states of [1e40, 1e40] that the extended Aberth refinement parts
+        # meet again in its 40-digit polish
         ledger, p = ledger_for(values, cfg)
-        with pytest.raises(FloatOverflowError, match=f"{precision} precision"):
+        with pytest.raises(error, match=f"{precision}"):
             norming_constants(ledger, p, cfg)
 
     def test_extended_overflow_is_typed(self):
