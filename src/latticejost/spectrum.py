@@ -14,15 +14,19 @@ coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
 exact Python ints scaled by 2^F with F = ceil(dps log2 10) + 40 bits for a
 dps-digit refinement (more for roots tinier than 2^-40 or a leading
 coefficient below 1/2).  The norming constants are the Jost solution's norm,
-one O(b) recursion in double arithmetic in either precision.
+one O(b) recursion in double arithmetic in either precision.  A ledger
+with a zero snapped to +-1 has its N checked against the pivots' count.
 
 The large-support scan counts the bound states by the operator's pivots and
-multisects on that count, so it needs no coefficients.  One 40-digit polish,
-:func:`_polish_fixed`, refines the real roots in (-1, 1) for both the
-extended scan and the extended bound-state energies: Newton steps on the
-Jost recursion in the same exact fixed-point ints (:func:`_g0_fixed`).
-The extended scan returns each polished int at scale 2^F as the exact
-Fraction z / 2^F.
+narrows brackets on that count, so it needs no coefficients: coincident
+brackets share one set of cuts, and a bracket that holds one state and no
+pole of the last pivot closes in on secant windows of that pivot.  One
+40-digit polish, :func:`_polish_fixed`, refines the real roots in (-1, 1)
+for both the extended scan and the extended bound-state energies: Newton
+steps on the Jost recursion in the same exact fixed-point ints
+(:func:`_g0_fixed`), the simplified ones with a slope from that recursion
+run in floats (:func:`_g0_slope`).  The extended scan returns each polished
+int at scale 2^F as the exact Fraction z / 2^F.
 """
 
 from __future__ import annotations
@@ -666,16 +670,28 @@ def norming_constants(
     -(1 - alpha)^2 / alpha, free of the cancellation near alpha = 1: by
     :func:`z_to_lambda` in double, and in an extended config at alpha
     polished to 40 digits by the extended scan's Newton
-    (:func:`_polish_fixed`), rounded once from its ints.  p must carry the potential's values, as
-    :func:`jost_coefficients` builds it.
+    (:func:`_polish_fixed`), rounded once from its ints.  p must carry the
+    potential's values, as :func:`jost_coefficients` builds it.
 
-    A bound state of multiplicity above 1 (two zeros that coincide at the
-    working precision) or a c^2 outside double range raises
+    A ledger with a zero snapped to +-1 (mu_minus or mu_plus above 0) may
+    have snapped a bound state there, so its N is checked against the
+    states the pivots count at alpha = 1 (:func:`_sturm_counts`), and a
+    mismatch raises CountMismatchError; without a snapped zero no count
+    runs.  A bound state of multiplicity above 1 (two zeros that coincide at
+    the working precision) or a c^2 outside double range raises
     FloatOverflowError naming that precision; a polish that fails raises
     NoConvergenceError.
     """
     if len(p.values) != ledger.b:
         raise ValueError("norming constants need the potential values in p.values")
+    if ledger.mu_minus or ledger.mu_plus:
+        x, sign = np.ones(2), np.array([1.0, -1.0])
+        n = int(_sturm_counts(np.asarray(p.values, dtype=float), x, sign)[0].sum())
+        if n != ledger.N:
+            raise CountMismatchError(
+                f"the ledger holds N={ledger.N} bound states with a zero snapped to "
+                f"+-1, but the pivots count {n}"
+            )
     ext = cfg is not None and cfg.is_extended
     precision = "40-digit" if ext else "double"
     roots = ledger.bound_state_roots()
@@ -709,6 +725,8 @@ def norming_constants(
 
 
 _CUTS = 512  # points per multisection pass, shared by the live brackets
+# the first pass cuts each side's (lo, 1) at lo^f for these f, lo and 1 included
+_FIRST_CUTS = 1.0 - np.arange(_CUTS // 2 + 2) / (_CUTS // 2 + 1)
 _MP_DPS = 40
 _MP_STOP = 10**38  # Newton stops once |dz| * _MP_STOP <= |z|
 _MP_SIMPLIFIED_STEPS = 4
@@ -726,12 +744,13 @@ def _sturm_counts(values: np.ndarray, x: np.ndarray, sign: np.ndarray):
     Nonlinear Lattices, AMS 2000).  So site b adds one state exactly when
     d_b - x = 1/x + V_b - 1/d_(b-1) < 0, the last row here.  The states of
     V above the band are those of -V below it at alpha -> -alpha, so sign
-    (+1 or -1 per point) serves V and -V in one pass.
+    (+1 or -1, broadcast against x) serves V and -V in one pass.  The
+    results have the shape of x.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv = 1.0 / x
-        d = sign * values[:, None] + (x + inv)
+        d = sign * values.reshape(-1, *[1] * np.ndim(x)) + (x + 1.0 / x)
         d[-1] -= x
+        inv = np.empty_like(d[0])
         for n in range(1, len(values)):
             np.divide(1.0, d[n - 1], out=inv)
             np.subtract(d[n], inv, out=d[n])
@@ -765,20 +784,46 @@ def _g0_fixed(vals: Sequence[int], z: int, F: int, slope: bool):
     return g, d if slope else None, k
 
 
-def _newton_fixed(vals: Sequence[int], z: int, F: int) -> int | None:
-    """One root of g_0 polished from the fixed-point z; see :func:`_polish_fixed`."""
+def _g0_slope(values: Sequence[float], z: float) -> tuple[float, int]:
+    """g_0'(z) by the recursion of :func:`_g0_fixed` in floats: (d, k), g_0' = d 2^k.
+
+    The state is rescaled by the power of two of |g| once |g| passes 2^256,
+    as there.  d is inf or nan where a float leaves double range, as 1/z^2
+    does for a deep state.
+    """
+    zi = 1.0 / z
+    s, ds = z + zi, 1.0 - zi * zi
+    g_next, g, d_next, d, k = z, 1.0, 1.0, 0.0, 0
+    for v in reversed(values):
+        w = s + v
+        d_next, d = d, w * d + ds * g - d_next
+        g_next, g = g, w * g - g_next
+        if abs(g) > 2.0**256:
+            e = math.frexp(g)[1]
+            g_next, g = math.ldexp(g_next, -e), math.ldexp(g, -e)
+            d_next, d, k = math.ldexp(d_next, -e), math.ldexp(d, -e), k + e
+    return d, k
+
+
+def _newton_fixed(vals: Sequence[int], z: int, F: int, slope: tuple[float, int]) -> int | None:
+    """One root of g_0 polished from the fixed-point z; see :func:`_polish_fixed`.
+
+    slope is g_0'(z) = d 2^k from :func:`_g0_slope`, as (d, k).
+    """
     one = 1 << F
-    g, slope, k0 = _g0_fixed(vals, z, F, True)
-    k, simple = k0, (_MP_SIMPLIFIED_STEPS if slope else 0)
+    d, k0 = slope
+    simple = _MP_SIMPLIFIED_STEPS if d and math.isfinite(d) else 0
+    if simple:  # the float slope as an int mantissa at scale 2^F, times 2^k0
+        d, e = math.frexp(d)
+        d, k0 = _fixed(d, F), k0 + e
     for i in range(simple + _MP_NEWTON_STEPS):
-        if i:
-            g, d, k = _g0_fixed(vals, z, F, i >= simple)
-            if i >= simple:
-                slope, k0 = d, k
-        if not slope:
+        g, dg, k = _g0_fixed(vals, z, F, i >= simple)
+        if i >= simple:
+            d, k0 = dg, k
+        if not d:
             return None
         e = F + k - k0  # g's rescaling can differ from the slope's
-        dz = (g << e) // slope if e >= 0 else g // (slope << -e)
+        dz = (g << e) // d if e >= 0 else g // (d << -e)
         z -= dz
         if not 0 < abs(z) < one:
             return None
@@ -792,19 +837,22 @@ def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list
 
     Newton runs on g_0 = f_0 / z^b (:func:`_g0_fixed`) in exact ints scaled
     by 2^F, where F is :func:`_fixed_bits` of the roots and each V_n is
-    rounded to that scale.  The slope g_0' is computed once, at the float
-    root; up to _MP_SIMPLIFIED_STEPS simplified steps z -= g_0(z) / slope
-    follow, and a root not converged by then (or with a
-    zero slope) goes on with up to _MP_NEWTON_STEPS full steps.  A root has
-    converged once |dz| * _MP_STOP <= |z|.  Returns the polished roots as
-    ascending ints at scale 2^F, and F.  Raises NoConvergenceError when a
-    root has not converged, when its iterate leaves (-1, 1) or hits 0, or
-    when two polished roots meet, as the two states of [1e40, 1e40], which
-    coincide in double, do.
+    rounded to that scale.  The slope g_0' is taken once, at the float root,
+    from the same recursion run in floats (:func:`_g0_slope`); up to
+    _MP_SIMPLIFIED_STEPS simplified steps z -= g_0(z) / slope follow, each
+    one exact pass for g_0.  A root not converged by then, or whose float
+    slope is 0 or leaves double range (a deep state, where 1/z^2
+    overflows), goes on with up to _MP_NEWTON_STEPS full steps, which take
+    the exact slope in the pass for g_0.  A root has converged once
+    |dz| * _MP_STOP <= |z|.  Returns the polished roots as ascending ints
+    at scale 2^F, and F.  Raises NoConvergenceError when a root has not
+    converged, when its iterate leaves (-1, 1) or hits 0, or when two
+    polished roots meet, as the two states of [1e40, 1e40], which coincide
+    in double, do.
     """
     F = _fixed_bits(roots, _MP_DPS)
     vals = [_fixed(v, F) for v in values]
-    polished = [_newton_fixed(vals, _fixed(r, F), F) for r in roots]
+    polished = [_newton_fixed(vals, _fixed(r, F), F, _g0_slope(values, r)) for r in roots]
     if None not in polished:
         polished.sort()
         ends = [-1 << F, *polished, 1 << F]
@@ -822,17 +870,32 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     :func:`_sturm_counts` needs no coefficients and stays well conditioned
     at any support length.  Its counts at alpha = 1 give the states of V in
     (0, 1) and in (-1, 0), so N is counted, not found.  The N brackets are
-    then multisected together: a pass spreads about _CUTS points over the
-    live brackets, at least 3 each, and keeps the piece where the count
-    first reaches k, for the k-th state of its side, so every state is
-    isolated by construction.  The brackets start at Gershgorin's bound
-    1/|alpha| < 2 + max |V_n|, and the cuts are geometric while hi > 2 lo,
-    so a deep state such as alpha = 1e-100 comes out to relative precision.
-    A bracket stops within 2 ulps or when a pass no longer shrinks it; one
-    secant step on the last pivot, which falls through 0 at the state,
-    places the root inside it.  As the count is that of double arithmetic,
-    a state within a few ulps of +-1 can fall outside: [1, 5e-324] has one
-    state, within 1e-323 of -1, and the scan finds none.
+    then narrowed together, and the count stays the only arbiter: a pass
+    spreads about _CUTS points over the distinct live brackets, at least 3
+    each, and keeps the piece where the count first reaches k, for the k-th
+    state of its side, so every state is isolated by construction.  States
+    whose brackets coincide share one set of cuts.  The first pass cuts one
+    bracket per side, from Gershgorin's bound 1/|alpha| < 2 + max |V_n| to
+    alpha = 1, whose count gives N, at geometric cuts; so no later bracket
+    spans more than a factor of 16, and a deep state such as alpha = 1e-100
+    comes out to relative precision.
+
+    The last pivot d_b - x falls through 0 at the state and has a pole
+    wherever the count of the first b - 1 pivots changes.  So a bracket
+    with counts k - 1 and k at its ends, d_b - x >= 0 at lo and < 0 at hi,
+    holds the one state and no pole.  There its two outermost cuts move to
+    xs -+ delta, with xs the secant point of d_b - x, and a third, when it
+    has more than 3, to xs, so a window that holds the state leaves a
+    bracket delta wide.  Regula falsi errs by about K P, with
+    P = (xs - lo)(hi - xs), so delta is 2 P times the last pass's observed
+    error over its P, |xs - xs_last| / P_last, and at least one ulp (only
+    the ulp on a bracket's first secant pass).  While that model holds the
+    bracket shrinks quadratically; when it does not, the cuts that stay
+    shrink it by at least half.  A bracket stops within 2 ulps or when a
+    pass no longer shrinks it; one secant step on the last pivot places the
+    root inside it.  As the count is that of double arithmetic, a state
+    within a few ulps of +-1 can fall outside: [1, 5e-324] has one state,
+    within 1e-323 of -1, and the scan finds none.
 
     Extended mode polishes each root at 40 digits in fixed-point ints
     (:func:`_polish_fixed`, which raises NoConvergenceError when that
@@ -842,27 +905,60 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     if V.b == 0:
         return []
     values = np.asarray(V.values, dtype=float)
-    n_pos, n_neg = _sturm_counts(values, np.ones(2), np.array([1.0, -1.0]))[0]
-    sign = np.repeat([1.0, -1.0], [n_pos, n_neg])
+    x = (0.5 / (2.0 + np.abs(values).max())) ** _FIRST_CUTS
+    x = np.broadcast_to(x, (2, len(x)))
+    pts = np.stack([x, *_sturm_counts(values, x, np.array([[1.0], [-1.0]]))], axis=-1)
+    n_pos, n_neg = pts[:, -1, 1].astype(int)
+    side = np.repeat([0, 1], [n_pos, n_neg])
     k = np.concatenate([np.arange(1, n_pos + 1), np.arange(1, n_neg + 1)])
-    lo, hi = np.full(len(k), 0.5 / (2.0 + np.abs(values).max())), np.ones(len(k))
-    live = np.arange(len(k))
-    while len(live):
-        a, c = lo[live, None], hi[live, None]
-        n_cuts = max(3, _CUTS // len(live))
-        frac = np.arange(1, n_cuts + 1) / (n_cuts + 1)
-        cuts = np.where(c > 2.0 * a, a ** (1 - frac) * c**frac, a + (c - a) * frac)
-        counts, _ = _sturm_counts(values, cuts.ravel(), np.repeat(sign[live], n_cuts))
-        reached = counts.reshape(cuts.shape) >= k[live, None]
-        j = np.where(reached.any(axis=1), reached.argmax(axis=1), n_cuts)
-        edges, rows = np.hstack([a, cuts, c]), np.arange(len(live))
-        new_lo, new_hi = edges[rows, j], edges[rows, j + 1]
-        lo[live], hi[live] = new_lo, new_hi
-        shrunk = (new_lo > a[:, 0]) | (new_hi < c[:, 0])
-        live = live[shrunk & (new_hi - new_lo > 2 * np.spacing(new_hi))]
-    _, e = _sturm_counts(values, np.concatenate([lo, hi]), np.tile(sign, 2))
-    e_lo, e_hi = np.split(e, 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    sign, top = np.where(side, -1.0, 1.0), k == 1
+    # each state's bracket: the rows (x, count, d_b - x) at lo and at hi
+    j = (pts[side, 1:, 1] >= k[:, None]).argmax(axis=1)
+    br = pts[side[:, None], j[:, None] + [0, 1]]
+    last = np.full((len(k), 2), np.nan)  # the last pass's xs and P
+    live, shared = np.arange(len(k)), True
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while len(live):
+            cur, kl = br[live], k[live]
+            # first: the first state of each distinct bracket (a bracket's
+            # states are consecutive in live); row: each state's bracket
+            if shared:
+                new = top[live]
+                new[0] = True
+                new[1:] |= cur[1:, 0, 0] != cur[:-1, 0, 0]
+                first, uniq, row = live[new], cur[new], np.cumsum(new) - 1
+                shared = not new.all()  # brackets split but never merge
+            else:
+                first, uniq, row = live, cur, np.arange(len(live))
+            m = max(3, _CUTS // len(first))
+            pts = np.empty((len(first), m + 2, 3))
+            pts[:, 0], pts[:, -1] = uniq[:, 0], uniq[:, 1]
+            ax, cx = uniq[:, 0, :1], uniq[:, 1, :1]
+            cuts = pts[:, 1:-1, 0]
+            cuts[:] = ax + (cx - ax) * (np.arange(1, m + 1) / (m + 1))
+            r = np.flatnonzero(
+                (uniq[:, 1, 1] - uniq[:, 0, 1] == 1) & (uniq[:, 0, 2] >= 0) & (uniq[:, 1, 2] < 0)
+            )
+            if len(r):
+                s = uniq[r]
+                a, c, ea = s[:, 0, 0], s[:, 1, 0], s[:, 0, 2]
+                xs = a + ea / (ea - s[:, 1, 2]) * (c - a)
+                P, g = (xs - a) * (c - xs), first[r]
+                delta = np.fmax(2.0 * P * np.abs(xs - last[g, 0]) / last[g, 1], np.spacing(xs))
+                last[g, 0], last[g, 1] = xs, P
+                win = cuts[r]
+                win[:, 0], win[:, -1] = np.fmax(xs - delta, a), np.fmin(xs + delta, c)
+                if m > 3:
+                    win[:, 1] = xs
+                win.sort(axis=1)
+                cuts[r] = win
+            pts[:, 1:-1, 1], pts[:, 1:-1, 2] = _sturm_counts(values, cuts, sign[first, None])
+            j = (pts[row, 1:, 1] >= kl[:, None]).argmax(axis=1)
+            br[live] = nb = pts[row[:, None], j[:, None] + [0, 1]]
+            lo, hi = nb[:, 0, 0], nb[:, 1, 0]
+            shrunk = (lo > cur[:, 0, 0]) | (hi < cur[:, 1, 0])
+            live = live[shrunk & (hi - lo > 2 * np.spacing(hi))]
+        (lo, _, e_lo), (hi, _, e_hi) = br.transpose(1, 2, 0)
         t = e_lo / (e_lo - e_hi)
     t = np.where((e_lo >= 0) & (e_hi < 0) & (t <= 1), t, 0.5)
     roots = np.sort(sign * (lo + t * (hi - lo)))

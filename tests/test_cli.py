@@ -100,6 +100,18 @@ class TestAnalyze:
         assert err.startswith("numerical diagnostic:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["[-1000, -1, 1e10, -1]"], ["[2, -1e40, 1e40, 1e-20, -2]", "--precision", "ext"]],
+        ids=["std", "ext"],
+    )
+    def test_bound_state_snapped_to_the_edge_is_typed(self, capsys, argv):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert err.startswith("numerical diagnostic:")
+        assert "snapped" in err
+
     def test_precision_environment_variable_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")
         _, out, _ = run(capsys, "analyze", "[2]")

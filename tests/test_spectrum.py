@@ -19,9 +19,11 @@ from latticejost.jost import JostPolynomial, jost_coefficients
 from latticejost.report import analyze
 from latticejost.spectrum import (
     _aberth,
+    _g0_fixed,
     _jost_aberth,
     _linearization,
     _norm_c2,
+    _sturm_counts,
     bound_state_scan,
     classify_zeros,
     find_zeros,
@@ -475,6 +477,35 @@ class TestNormingConstants:
         with pytest.raises(ValueError, match="p.values"):
             norming_constants(ledger, bare)
 
+    @pytest.mark.parametrize(
+        "values, cfg",
+        [
+            # a state at 1 - 1e-10, within tau_edge = 1e-9 of +1
+            ([-1000.0, -1.0, 1e10, -1.0], CFG),
+            # a state at -1 + 1e-20, which rounds to -1.0
+            ([2.0, -1e40, 1e40, 1e-20, -2.0], NumericConfig.extended()),
+            # f0 = 1 - z / (1 - 1e-5): the state 1 - 1e-5, within tau_edge = 1e-4
+            ([-1 / (1 - 1e-5)], NumericConfig(tau_edge=1e-4)),
+        ],
+        ids=["std", "ext", "wide-edge"],
+    )
+    def test_bound_state_snapped_to_the_edge_is_typed(self, values, cfg):
+        # the ledger bins the state as an edge zero, so its N falls one short
+        # of the pivots' count, while every verdict would still hold
+        assert exact_count(values) == 1 + ledger_for(values, cfg)[0].N
+        with pytest.raises(CountMismatchError, match="snapped"):
+            analyze(validate_potential(values), cfg)
+
+    def test_edge_count_runs_only_for_a_snapped_zero(self, count_calls):
+        calls = count_calls(_sturm_counts)
+        analyze(validate_potential(EX42_POTENTIAL), CFG)
+        analyze(validate_potential(EX42_POTENTIAL), NumericConfig.extended())
+        assert calls == []
+        # f0 = 1 - z / (1 + 1e-5): a resonance at 1 + 1e-5 snapped to +1
+        report = analyze(validate_potential([-1 / (1 + 1e-5)]), NumericConfig(tau_edge=1e-4))
+        assert (report.ledger.mu_plus, report.ledger.N) == (1, 0)
+        assert len(calls) == 1
+
 
 def exact_count(values) -> int:
     """N by the exact Sturm count, in rational arithmetic.
@@ -684,6 +715,59 @@ class TestBoundStateScan:
             spectrum._polish_fixed([-1 / (1 + 1e-9)], [1 - 1e-9])
         polished, F = spectrum._polish_fixed([2.0], [-0.49999999])
         assert polished == [-1 << (F - 1)]
+
+    def test_std_scan_passes(self, count_calls):
+        # the 55 states of each side share their first cuts, and a bracket
+        # holding one state and no pole of the last pivot ends on secant
+        # windows; plain multisection takes 25 counts here
+        calls = count_calls(_sturm_counts)
+        assert len(bound_state_scan(alternating_potential(110, 2.0), CFG)) == 110
+        assert len(calls) <= 14
+
+    def test_extended_scan_takes_no_exact_slope(self, count_calls):
+        # the simplified steps' slope comes from the float recursion
+        calls = count_calls(_g0_fixed)
+        roots = bound_state_scan(alternating_potential(110, 2.0), NumericConfig.extended())
+        assert len(roots) == 110
+        assert [args for args in calls if args[3]] == []
+
+    @pytest.mark.parametrize("d", [0.0, math.inf, math.nan])
+    def test_polish_without_a_float_slope_takes_full_steps(self, monkeypatch, count_calls, d):
+        # a float slope of 0 or beyond double range, as a deep state's, sends
+        # the root straight to the full Newton steps
+        import latticejost.spectrum as spectrum
+
+        V = alternating_potential(12, 2.0)
+        expected = bound_state_scan(V, NumericConfig.extended())
+        monkeypatch.setattr(spectrum, "_g0_slope", lambda values, z: (d, 0))
+        calls = count_calls(_g0_fixed)
+        roots = bound_state_scan(V, NumericConfig.extended())
+        assert len(roots) == len(expected) == 12
+        assert all(abs(z - e) <= 1e-38 * abs(e) for z, e in zip(roots, expected))
+        assert all(args[3] for args in calls)
+
+    def test_std_roots_no_farther_from_the_polished_ones(self):
+        # each bracket still ends on a transition of the double count, which
+        # near alpha = +-1 resolves alpha only to tens of ulps, so a single
+        # root can move either way; over the panel, the largest and the total
+        # distance to the 40-digit roots stay within what multisection alone
+        # reached here, 63 and 534 ulps
+        rng = np.random.default_rng(17)
+        inputs = [alternating_potential(b, 2.0) for b in (40, 80, 110)]
+        inputs.append(validate_potential(CLOSE_PAIR))
+        inputs += [
+            validate_potential(rng.uniform(-3, 3, b).tolist())
+            for b in range(4, 41, 4)
+            for _ in range(3)
+        ]
+        ulps = []
+        for V in inputs:
+            std = bound_state_scan(V, CFG)
+            ext = [float(z) for z in bound_state_scan(V, NumericConfig.extended())]
+            assert len(std) == len(ext)
+            ulps += [abs(a - z) / math.ulp(z) for a, z in zip(std, ext)]
+        assert max(ulps) <= 63
+        assert sum(ulps) <= 534
 
     def test_extended_fallback_to_full_newton(self, monkeypatch):
         # a root that misses the simplified-Newton stopping rule within the
