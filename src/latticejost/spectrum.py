@@ -13,9 +13,12 @@ In extended precision :func:`find_zeros` refines the roots from the exact
 coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
 exact Python ints scaled by 2^F with F = ceil(dps log2 10) + 40 bits for a
 dps-digit refinement (more for roots tinier than 2^-40 or a leading
-coefficient below 1/2).  The norming constants are the Jost solution's norm,
-one O(b) recursion in double arithmetic in either precision.  A ledger
-with a zero snapped to +-1 has its N checked against the pivots' count.
+coefficient below 1/2).  Only a seed that repeats another is sheared, and
+each correction is judged against its root's modulus, so the double roots
+reach the stop in two exact passes.  The norming constants are the Jost
+solution's norm, one O(b) recursion in double arithmetic in either
+precision.  A ledger with a zero snapped to +-1 has its N checked against
+the pivots' count.
 
 The large-support scan counts the bound states by the operator's pivots and
 narrows brackets on that count, so it needs no coefficients: coincident
@@ -25,8 +28,10 @@ pole of the last pivot closes in on secant windows of that pivot.  One
 for both the extended scan and the extended bound-state energies: Newton
 steps on the Jost recursion in the same exact fixed-point ints
 (:func:`_g0_fixed`), the simplified ones with a slope from that recursion
-run in floats (:func:`_g0_slope`).  The extended scan returns each polished
-int at scale 2^F as the exact Fraction z / 2^F.
+run in floats (:func:`_g0_slope`).  A root stops on a small step or on the
+error bound that two steps' contraction gives, which the second exact pass
+from a double root meets.  The extended scan returns each polished int at
+scale 2^F as the exact Fraction z / 2^F.
 """
 
 from __future__ import annotations
@@ -166,22 +171,29 @@ def _aberth(
     evaluated by :func:`_horner_fixed` from its exact coefficients
     ints / 2^shift, rounded to scale 2^C (see :func:`_fixed_scales`).  Each
     pass updates every root from the previous pass's roots; it stops once
-    every correction is below 10^-(dps-8) in absolute value, and raises
-    NoConvergenceError if maxit passes do not get there.  The roots come
-    back as correctly rounded complex values.
+    every correction is below 10^-(dps-8) of its root's modulus, and raises
+    NoConvergenceError if maxit passes do not get there.  Seeds accurate to
+    double precision then take two passes: the cubic convergence reaches
+    the stop in the first, and the second confirms it.  A seed that exactly
+    repeats m earlier ones is sheared by m 10^-14 max(1, |z|) in both parts,
+    so that the iterates start apart; no other seed moves.  A repeat stands
+    either for roots closer than double precision resolves, which 10^-14 of
+    their modulus parts, or for roots that the double polish merged and
+    that lie elsewhere: Aberth steps widen a cluster by about a constant
+    factor a pass, so a shear below 10^-14 would cost those passes.  The
+    roots come back as correctly rounded complex values.
     """
     F, C = _fixed_scales(ints, shift, seeds, dps)
     up = C + 1 - shift  # round(c 2^(C - shift)): floor at one more bit, then halve
     desc = [((c << up if up >= 0 else c >> -up) + 1) >> 1 for c in reversed(ints)]
-    # tiny deterministic shear so that coincident double seeds separate:
-    # round((k + 1) 10^-14 2^F)
-    roots = []
-    for k, z in enumerate(seeds):
-        shear = (((k + 1) << (F + 1)) // 10**14 + 1) >> 1
+    roots, seen = [], {}
+    for z in seeds:
+        seen[z] = m = seen.get(z, -1) + 1  # earlier seeds equal to z
+        shear = _fixed(m * 1e-14 * max(1.0, _mag(z)), F)
         roots.append((_fixed(z.real, F) + shear, _fixed(z.imag, F) + shear))
     n = len(roots)
     one = 1 << F
-    tol_scale = 10 ** (2 * (dps - 8))  # |corr| < 10^-(dps-8), squared
+    tol_scale = 10 ** (2 * (dps - 8))  # |corr| < 10^-(dps-8) |z|, squared
     for _ in range(maxit):
         # sum_j 1/(z_k - z_j), one reciprocal per pair of roots
         sr, si = [0] * n, [0] * n
@@ -196,7 +208,7 @@ def _aberth(
                 si[k] += ii
                 sr[j] -= ir
                 si[j] -= ii
-        maxcorr2 = 0
+        converged = True
         new = []
         for k, (zkr, zki) in enumerate(roots):
             pr, pi, dr, di = _horner_fixed(desc, zkr, zki, F)
@@ -208,10 +220,11 @@ def _aberth(
             er = one - ((rr * sr[k] - ri * si[k]) >> F)
             ei = -((rr * si[k] + ri * sr[k]) >> F)
             cr, ci = (rr, ri) if er == 0 and ei == 0 else _fixed_div(rr, ri, er, ei, F)
-            maxcorr2 = max(maxcorr2, cr * cr + ci * ci)
-            new.append((zkr - cr, zki - ci))
+            zr, zi = zkr - cr, zki - ci
+            converged &= (cr * cr + ci * ci) * tol_scale < zr * zr + zi * zi
+            new.append((zr, zi))
         roots = new
-        if maxcorr2 * tol_scale < one * one:
+        if converged:
             break
     else:
         raise NoConvergenceError(f"the Aberth refinement has not converged in {maxit} passes")
@@ -808,7 +821,10 @@ def _g0_slope(values: Sequence[float], z: float) -> tuple[float, int]:
 def _newton_fixed(vals: Sequence[int], z: int, F: int, slope: tuple[float, int]) -> int | None:
     """One root of g_0 polished from the fixed-point z; see :func:`_polish_fixed`.
 
-    slope is g_0'(z) = d 2^k from :func:`_g0_slope`, as (d, k).
+    slope is g_0'(z) = d 2^k from :func:`_g0_slope`, as (d, k).  A step dz
+    ends the polish when |dz| or, with q = |dz / dz_1| <= 1/2 its
+    contraction from the step dz_1 before, |dz| q / (1 - q) is at most
+    |z| / _MP_STOP.  Returns None when neither is met within the step caps.
     """
     one = 1 << F
     d, k0 = slope
@@ -816,6 +832,7 @@ def _newton_fixed(vals: Sequence[int], z: int, F: int, slope: tuple[float, int])
     if simple:  # the float slope as an int mantissa at scale 2^F, times 2^k0
         d, e = math.frexp(d)
         d, k0 = _fixed(d, F), k0 + e
+    last = 0  # |dz| of the step before
     for i in range(simple + _MP_NEWTON_STEPS):
         g, dg, k = _g0_fixed(vals, z, F, i >= simple)
         if i >= simple:
@@ -827,8 +844,13 @@ def _newton_fixed(vals: Sequence[int], z: int, F: int, slope: tuple[float, int])
         z -= dz
         if not 0 < abs(z) < one:
             return None
-        if abs(dz) * _MP_STOP <= abs(z):
+        # with q = step / last <= 1/2, step q / (1 - q) bounds the error left
+        step = abs(dz)
+        if step * _MP_STOP <= abs(z) or (
+            2 * step <= last and step * step * _MP_STOP <= abs(z) * (last - step)
+        ):
             return z
+        last = step
     return None
 
 
@@ -843,12 +865,15 @@ def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list
     one exact pass for g_0.  A root not converged by then, or whose float
     slope is 0 or leaves double range (a deep state, where 1/z^2
     overflows), goes on with up to _MP_NEWTON_STEPS full steps, which take
-    the exact slope in the pass for g_0.  A root has converged once
-    |dz| * _MP_STOP <= |z|.  Returns the polished roots as ascending ints
-    at scale 2^F, and F.  Raises NoConvergenceError when a root has not
-    converged, when its iterate leaves (-1, 1) or hits 0, or when two
-    polished roots meet, as the two states of [1e40, 1e40], which coincide
-    in double, do.
+    the exact slope in the pass for g_0.  A root has converged once a step
+    dz has |dz| * _MP_STOP <= |z|, or once the bound |dz| q / (1 - q) on the
+    error left does, with q = |dz| / |dz_1| <= 1/2 the contraction from the
+    step dz_1 before it.  The float slope errs by about 1e-16, so from a
+    double root the second step shows q near 1e-16 and stops: two exact
+    passes per root.  Returns the polished roots as ascending ints at scale
+    2^F, and F.  Raises NoConvergenceError when a root has not converged,
+    when its iterate leaves (-1, 1) or hits 0, or when two polished roots
+    meet, as the two states of [1e40, 1e40], which coincide in double, do.
     """
     F = _fixed_bits(roots, _MP_DPS)
     vals = [_fixed(v, F) for v in values]

@@ -20,6 +20,7 @@ from latticejost.report import analyze
 from latticejost.spectrum import (
     _aberth,
     _g0_fixed,
+    _horner_fixed,
     _jost_aberth,
     _linearization,
     _norm_c2,
@@ -83,6 +84,40 @@ class TestFindZeros:
         p = jost_coefficients(validate_potential(EX42_POTENTIAL))
         roots = sorted(z.real for z, m in find_zeros(p, cfg))
         assert roots == pytest.approx([-0.5, 0.5, SQRT5], abs=1e-14)
+
+    def test_extended_states_coincident_in_double_round_alike(self):
+        # the two states of [1e40, 1e40] both round to -1e-40; an absolute
+        # stop at 1e-42 would let them part to -1.0016e-40 and -0.9984e-40
+        p = jost_coefficients(validate_potential([1e40, 1e40]))
+        roots = find_zeros(p, NumericConfig.extended())
+        assert [z for z, m in roots if abs(z) < 1.0] == [-1e-40, -1e-40]
+
+    @pytest.mark.parametrize(
+        "values, states",
+        [
+            # the double polish returns -6.47e-21 seven times, for the two
+            # states and five roots of modulus near 1, so six repeated seeds
+            # must travel far
+            (
+                [-1.4406730047551115e-300, -7.04413208118819e-41, 1.545652002098911e20,
+                 1.8935900726077416e-40, 1.1945500099992374],
+                [-0.6100729131920104, -6.469761619316991e-21],
+            ),
+            # states near 1e-40, which an absolute stop at 1e-42 would leave
+            # 1.6e-6 off
+            (
+                [5.917131228275204e39, 1.0466311763821459e40],
+                [-1.6900081499316214e-40, -9.554464099346493e-41],
+            ),
+        ],
+        ids=["merged-seeds", "states-1e-40"],
+    )
+    def test_extended_states_match_700_digit_roots(self, values, states):
+        # states are the correctly rounded real roots in (-1, 1) of mpmath's
+        # polyroots at 700 digits on the exact coefficients
+        p = jost_coefficients(validate_potential(values))
+        roots = find_zeros(p, NumericConfig.extended())
+        assert [z.real for z, m in roots if abs(z) < 1.0] == states
 
 
 def _polyroots_reference(p, cfg):
@@ -198,6 +233,30 @@ def test_aberth_raises_at_its_pass_cap():
     assert sorted(refined, key=lambda z: (z.real, z.imag)) == pytest.approx(
         sorted(roots, key=lambda z: (z.real, z.imag)), abs=1e-14
     )
+
+
+def test_aberth_parts_a_repeated_seed():
+    # a seed that repeats another is sheared off it, and the iterates still
+    # reach every root, the one no seed was near included
+    p = jost_coefficients(validate_potential([1.3, -0.4, 2.2]))
+    roots = sorted((z for z, m in find_zeros(p, CFG) for _ in range(m)), key=lambda z: z.imag)
+    for seeds in ([roots[0], *roots[:-1]], [*roots[1:], roots[1]]):
+        refined = _aberth(p.ints, p.shift, seeds)
+        assert sorted(refined, key=lambda z: z.imag) == pytest.approx(roots, rel=1e-15)
+
+
+@pytest.mark.parametrize("b", [4, 12, 20])
+def test_aberth_takes_two_passes_from_double_roots(b, count_calls):
+    # double-accurate seeds reach the 42-digit stop in one cubic pass, and a
+    # second confirms it; a pair of roots much closer than the rest can need
+    # a third (1 of 210 draws tried)
+    rng = np.random.default_rng(25)
+    calls = count_calls(_horner_fixed)
+    for _ in range(3):
+        p = jost_coefficients(validate_potential(rng.uniform(-3, 3, b).tolist()))
+        calls.clear()
+        find_zeros(p, NumericConfig.extended())
+        assert len(calls) == 2 * (2 * b - 1)
 
 
 def _conjugate_closed(roots) -> bool:
@@ -446,7 +505,7 @@ class TestNormingConstants:
     @pytest.mark.parametrize(
         "values, cfg, error, precision",
         [
-            pytest.param([1e40, 1e40], NumericConfig.extended(), NoConvergenceError,
+            pytest.param([1e40, 1e40], NumericConfig.extended(), FloatOverflowError,
                          "40-digit", id="values0"),
             pytest.param([1e20, -1e20, 1e20], NumericConfig.extended(), FloatOverflowError,
                          "40-digit", id="values1"),
@@ -457,9 +516,8 @@ class TestNormingConstants:
     )
     def test_extended_coincident_roots_are_typed(self, values, cfg, error, precision):
         # two zeros coincide at the working precision, which must surface as a
-        # typed error: two equal bound states are a multiple zero, and the two
-        # states of [1e40, 1e40] that the extended Aberth refinement parts
-        # meet again in its 40-digit polish
+        # typed error: two bound states that round to one double are a
+        # multiple zero
         ledger, p = ledger_for(values, cfg)
         with pytest.raises(error, match=f"{precision}"):
             norming_constants(ledger, p, cfg)
@@ -681,18 +739,21 @@ class TestBoundStateScan:
                 floor = mpf(10) ** -38 * abs(z * df)
                 assert abs(f) <= abs(f0_pair(mpv, z1)[0]) + floor
 
-    def test_extended_polish_matches_60_digit_newton(self):
+    @staticmethod
+    def _assert_polish_matches_60_digit_newton():
         # the reference is f0_pair's Newton at 60 digits; the first input mixes
         # exponents from 1e-30 to 2^-600, which the polish's fixed-point scale
-        # rounds
+        # rounds.  Returns the number of roots polished.
         from mpmath import mp, mpf
 
         rng = np.random.default_rng(13)
         inputs = [[3.0, 1e-30, -2.0, 2.0**-600, 2.5]]
         inputs += [rng.uniform(-3, 3, 12).tolist() for _ in range(4)]
+        count = 0
         for values in inputs:
             roots = bound_state_scan(validate_potential(values), NumericConfig.extended())
             assert len(roots) == exact_count(values) > 0
+            count += len(roots)
             with mp.workdps(60):
                 mpv = [mpf(v) for v in values]
                 for z in roots:
@@ -703,6 +764,27 @@ class TestBoundStateScan:
                         if abs(f / df) < mpf(10) ** -55 * abs(a):
                             break
                     assert abs(z - a) <= mpf(10) ** -38 * abs(a), values
+        return count
+
+    def test_extended_polish_matches_60_digit_newton(self):
+        self._assert_polish_matches_60_digit_newton()
+
+    def test_polish_with_an_inexact_slope_takes_more_passes(self, monkeypatch, count_calls):
+        # a float slope 1e-4 off contracts each simplified step by only about
+        # 1e-4, so the a-posteriori stop waits for more passes, and the roots
+        # still meet the 60-digit reference
+        import latticejost.spectrum as spectrum
+
+        slope = spectrum._g0_slope
+
+        def inexact(values, z):
+            d, k = slope(values, z)
+            return d * (1 + 1e-4), k
+
+        monkeypatch.setattr(spectrum, "_g0_slope", inexact)
+        calls = count_calls(_g0_fixed)
+        count = self._assert_polish_matches_60_digit_newton()
+        assert len(calls) > 2 * count
 
     def test_polish_stops_at_an_iterate_leaving_the_interval(self, monkeypatch):
         # f0 of [-1/r] is 1 - z/r; from 1 - 1e-9 the first full Newton step
@@ -730,6 +812,15 @@ class TestBoundStateScan:
         roots = bound_state_scan(alternating_potential(110, 2.0), NumericConfig.extended())
         assert len(roots) == 110
         assert [args for args in calls if args[3]] == []
+
+    def test_extended_scan_polishes_in_two_passes(self, count_calls):
+        # the first simplified step brings each root from double accuracy to
+        # about 32 digits; the second shows a contraction near 1e-16, whose
+        # error bound is far below the 38-digit stop
+        calls = count_calls(_g0_fixed)
+        roots = bound_state_scan(alternating_potential(110, 2.0), NumericConfig.extended())
+        assert len(roots) == 110
+        assert len(calls) == 220
 
     @pytest.mark.parametrize("d", [0.0, math.inf, math.nan])
     def test_polish_without_a_float_slope_takes_full_steps(self, monkeypatch, count_calls, d):
