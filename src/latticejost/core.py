@@ -88,7 +88,7 @@ class SpectralPoint:
 
 
 # Extended-mode thresholds shrink because high-precision root refinement
-# makes much tighter real/edge decisions meaningful.
+# makes much tighter real-axis and cluster decisions meaningful.
 _EXT_SCALE = 1e-10
 
 
@@ -102,20 +102,19 @@ class NumericConfig:
     tau_cluster: pairwise distance below which roots with |z| >= 1 merge
                  into one multiple root; the zeros inside the unit disk
                  are bound states, real and simple, and never merge.
-    tau_edge:    distance to z = +-1 below which a real root counts as an
-                 edge (exceptional) zero.
+
+    No threshold decides the edge (exceptional) zeros at z = +-1: there is
+    one exactly where f0(+-1) = 0 on the exact coefficients.
     """
 
     tau_real: float = 1e-9
     tau_cluster: float = 1e-6
-    tau_edge: float = 1e-9
     precision_mode: str = "standard"
 
     def __post_init__(self) -> None:
         if self.precision_mode not in ("standard", "extended"):
             raise ValueError(f"unknown precision mode {self.precision_mode!r}")
-        taus = (self.tau_real, self.tau_cluster, self.tau_edge)
-        if not all(0 < t < math.inf for t in taus):
+        if not all(0 < t < math.inf for t in (self.tau_real, self.tau_cluster)):
             raise ValueError("all thresholds must be positive and finite")
         if self.tau_cluster < self.tau_real:
             raise ValueError("tau_cluster must be at least tau_real")
@@ -125,7 +124,6 @@ class NumericConfig:
         return cls(
             tau_real=1e-9 * _EXT_SCALE,
             tau_cluster=1e-6 * _EXT_SCALE,
-            tau_edge=1e-9 * _EXT_SCALE,
             precision_mode="extended",
         )
 
@@ -138,23 +136,18 @@ def lambda_to_z(lam: float) -> complex:
     """Map an energy to the unit-disk chart, z = 1 - lam/2 + sqrt(lam(lam-4))/2.
 
     Principal branch of the square root.  Band edges map exactly:
-    lambda = 0 -> z = 1 and lambda = 4 -> z = -1.
+    lambda = 0 -> z = 1 and lambda = 4 -> z = -1.  Off the band the disk
+    root is 1 / the other, reciprocal, root, whose two terms share a sign,
+    and sqrt(|lam|) sqrt(|lam - 4|) stays in range: nothing cancels.
     """
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
-    if lam == 0.0:
-        return complex(1.0)
-    if lam == 4.0:
-        return complex(-1.0)
-    z = 1.0 - lam / 2.0 + 0.5 * cmath.sqrt(complex(lam * (lam - 4.0)))
     if 0.0 < lam < 4.0:
+        z = 1.0 - lam / 2.0 + 0.5 * cmath.sqrt(complex(lam * (lam - 4.0)))
         # in-band points lie on the unit circle; renormalize the modulus
         return z / abs(z)
-    if abs(z) > 1.0:
-        # the two solutions of z + 1/z = 2 - lambda are reciprocal;
-        # keep the unit-disk representative
-        z = 1.0 / z
-    return z
+    big = 0.5 * abs(lam - 2.0) + 0.5 * math.sqrt(abs(lam)) * math.sqrt(abs(lam - 4.0))
+    return complex(math.copysign(1.0 / big, 2.0 - lam))
 
 
 def z_to_lambda(z: complex) -> complex:

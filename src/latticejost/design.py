@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .core import NumericConfig, Potential
 from .errors import FloatOverflowError, InconsistentRootsError, NoConvergenceError
-from .jost import JostPolynomial, _rouche_margin, _small_coefficients, jost_coefficients
+from .jost import JostPolynomial, _band_edges, _rouche_margin, _small_coefficients, jost_coefficients
 from .report import SpectralReport, _analyze, analyze
 
 __all__ = [
@@ -97,33 +97,24 @@ def extend_with_epsilon(V: Potential, b: int, epsilon: float) -> Potential:
     return Potential(V.values + (float(epsilon),) * (b - V.b))
 
 
-def _band_edges(p: JostPolynomial) -> tuple[int, int]:
-    """2^p.shift f0(1) and 2^p.shift f0(-1): the exact (alternating) sum of p.ints.
-
-    Float Horner on the rounded coefficients loses these values at large b.
-    """
-    return sum(p.ints), sum(c if j % 2 == 0 else -c for j, c in enumerate(p.ints))
-
-
 def choose_epsilon(
     V: Potential, b: int, cfg: NumericConfig, start: float = 0.1
 ) -> tuple[float, SpectralReport]:
     """Halve the tail value until the extension keeps the bound-state count.
 
-    Also requires |f0(+-1)| to stay above tau_edge so that no zero sits on
-    the band edge (the genericity the continuity argument needs), decided
-    in exact ints (:func:`_band_edges`) before the extension is analyzed.
+    Also requires f0(+-1) != 0 exactly, so that no zero sits on the band
+    edge (the genericity the continuity argument needs), decided on the
+    exact ints (:func:`_band_edges`) before the extension is analyzed.
     Each extension's polynomial is built once, for both.  Returns the chosen
     epsilon with the extension's report.
     """
     target_n = analyze(V, cfg).ledger.N
-    tau_num, tau_den = cfg.tau_edge.as_integer_ratio()
     eps = start
     while eps > 1e-15:
         t0 = time.perf_counter()
         extension = extend_with_epsilon(V, b, eps)
         p = jost_coefficients(extension)
-        if min(map(abs, _band_edges(p))) * tau_den > tau_num << p.shift:
+        if all(_band_edges(p)):
             rep = _analyze(extension, p, cfg, t0)
             if rep.ledger.N == target_n:
                 return eps, rep

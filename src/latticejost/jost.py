@@ -16,7 +16,8 @@ Two evaluation routes are provided on purpose:
   recursion, which stays well conditioned on and inside the unit circle at
   any support length.
 
-The coefficient certificates read the one built polynomial: the
+The coefficient certificates read the one built polynomial: the exact
+f0(+-1) and signs of f0 (:func:`_band_edges`, :func:`_sign_at`), the
 small-coefficient test for N = 0 (:func:`_small_coefficients`), the
 Rouche margin for N = b, |prod V_j| against the coefficients of
 G = f0 - (prod V_j) z^b (:func:`_rouche_margin`), and the parity
@@ -140,21 +141,42 @@ def jost_solution(V: Potential, z: complex) -> list[complex]:
     """Values f_0(z), f_1(z), ..., f_b(z) of the Jost solution.
 
     f_n = z^n for n >= b; the lower values follow from the backward
-    recursion f_{n-1} = -f_{n+1} + (z + 1/z + V_n) f_n.
+    recursion f_{n-1} = -f_{n+1} + (z + 1/z + V_n) f_n.  A power z^n beyond
+    double range, as 2^1100, raises FloatOverflowError.
     """
     if z == 0:
         raise ZeroArgumentError("the Jost recursion needs z != 0")
     b = V.b
     out = [complex(0)] * (b + 1)
-    f_next = z ** (b + 1)
-    f_cur = z**b
-    out[b] = f_cur
-    zi = 1.0 / z
-    for n in range(b, 0, -1):
-        f_prev = -f_next + (z + zi + V.values[n - 1]) * f_cur
-        f_next, f_cur = f_cur, f_prev
-        out[n - 1] = f_cur
+    try:
+        f_next = z ** (b + 1)
+        f_cur = z**b
+        out[b] = f_cur
+        zi = 1.0 / z
+        for n in range(b, 0, -1):
+            f_prev = -f_next + (z + zi + V.values[n - 1]) * f_cur
+            f_next, f_cur = f_cur, f_prev
+            out[n - 1] = f_cur
+    except OverflowError as exc:
+        raise FloatOverflowError(f"the Jost solution at z = {z!r} leaves double range") from exc
     return out
+
+
+def _band_edges(p: JostPolynomial) -> tuple[int, int]:
+    """2^p.shift f0(1) and 2^p.shift f0(-1): the exact (alternating) sum of p.ints.
+
+    Float Horner on the rounded coefficients loses these values at large b.
+    """
+    return sum(p.ints), sum(c if j % 2 == 0 else -c for j, c in enumerate(p.ints))
+
+
+def _sign_at(p: JostPolynomial, x: float) -> int:
+    """The sign of f0(x) at a float x, exact: Horner on p.ints, homogeneous in x = n / d."""
+    n, d = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(p.ints):
+        acc, scale = acc * n + c * scale, scale * d
+    return (acc > 0) - (acc < 0)
 
 
 def _small_coefficients(p: JostPolynomial) -> bool:

@@ -64,13 +64,14 @@ def oracle_bound_states(V: Potential, M: int = 800, margin: float = 1e-6) -> lis
     intervals (lo, -margin] and (4 + margin, hi], lo and hi outside the
     Gershgorin bounds, at a cost that grows with the eigenvalues found, at
     most b; above that, one QR pass (sterf) over all M eigenvalues costs
-    less.  The strict filter drops an eigenvalue equal to -margin.
+    less.  The strict filter drops an eigenvalue equal to -margin.  A margin
+    that is not positive and finite raises ValueError.
     Ascending, and equal to the out-of-band part of truncated_eigenvalues.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     diag, off = _truncation(V, M)
     if V.b * _QR_CROSSOVER > M:
         eigs = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")

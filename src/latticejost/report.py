@@ -76,7 +76,6 @@ class SpectralReport:
             "config": {
                 "tau_real": self.config.tau_real,
                 "tau_cluster": self.config.tau_cluster,
-                "tau_edge": self.config.tau_edge,
                 "precision_mode": self.config.precision_mode,
             },
         }

@@ -17,8 +17,8 @@ coefficient below 1/2).  Only a seed that repeats another is sheared, and
 each correction is judged against its root's modulus, so the double roots
 reach the stop in two exact passes.  The norming constants are the Jost
 solution's norm, one O(b) recursion in double arithmetic in either
-precision.  A ledger with a zero snapped to +-1 has its N checked against
-the pivots' count.
+precision.  The exact f0(+-1) on the ints gives the edge zeros, and every
+ledger's bound states are checked against the pivots' count.
 
 The large-support scan counts the bound states by the operator's pivots and
 narrows brackets on that count, so it needs no coefficients: coincident
@@ -52,7 +52,7 @@ from .errors import (
     NoConvergenceError,
     UnitCircleViolationError,
 )
-from .jost import JostPolynomial
+from .jost import JostPolynomial, _band_edges, _sign_at
 
 __all__ = [
     "ClassifiedZero",
@@ -418,6 +418,25 @@ def _polish(
     return polished, converged
 
 
+def _beyond_edge(p: JostPolynomial, x: float) -> complex:
+    """The next double outward from the edge x = +-1.0, for a root that rounds to x.
+
+    f0(x) != 0, so the root is off x by under half an ulp.  The exact signs
+    of f0 at x and at its neighbours in double (:func:`_sign_at`) bracket
+    it: a change between x and the outer one alone is a resonance, returned
+    as that neighbour so that its class holds.  Any other pattern, as a
+    bound state closer to the edge than double resolves, raises
+    FloatOverflowError.
+    """
+    inner, outer = math.nextafter(x, 0.0), math.nextafter(x, 2.0 * x)
+    s_in, s_x, s_out = (_sign_at(p, t) for t in (inner, x, outer))
+    if s_in == s_x != s_out:
+        return complex(outer)
+    raise FloatOverflowError(
+        f"a zero lies closer to the band edge {x:+.0f} than double resolves, and f0 != 0 there"
+    )
+
+
 def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int]]:
     """All roots of the Jost polynomial, clustered by multiplicity.
 
@@ -442,6 +461,12 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     a polish still does not converge, NoConvergenceError.  Extended
     precision then refines all roots by :func:`_aberth` on the exact
     coefficients p.ints; standard precision stays in double throughout.
+
+    In both precisions, where the exact f0(+-1) (:func:`_band_edges`) is 0,
+    the real root nearest +-1 becomes +-1.0 and stays out of the clusters;
+    it is simple, as the Wronskian f0(z) f1(1/z) - f1(z) f0(1/z) = 1/z - z
+    has a simple zero at +-1.  Any other root at +-1.0 goes to
+    :func:`_beyond_edge`.
 
     A leading coefficient V_b so small that the matrix's last row leaves
     double range, or a root beyond double range, raises FloatOverflowError
@@ -481,10 +506,17 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
         ]
 
     out = []
+    for x, f in zip((1.0, -1.0), _band_edges(p)):
+        if not f:
+            real = [z for z in polished if not z.imag]
+            polished.remove(min(real, key=lambda z: abs(z.real - x)))
+            out.append((complex(x), 1))
     disk = [(z, 1) for z in polished if _mag(z) < 1.0]  # simple zeros, never merged
     for z, m in disk + _cluster([z for z in polished if _mag(z) >= 1.0], cfg.tau_cluster):
         if abs(z.imag) < cfg.tau_real:
             z = complex(z.real)
+        if z in (1.0, -1.0):
+            z = _beyond_edge(p, z.real)
         out.append((z, m))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
@@ -555,7 +587,9 @@ def classify_zeros(
 ) -> ZeroLedger:
     """Bin clustered roots by the interval scheme and build the ledger.
 
-    Raises CountMismatchError when multiplicities miss the degree 2b - 1 and
+    A real root is an edge zero when it equals +-1.0, as :func:`find_zeros`
+    puts only the zeros of an exact f0(+-1) = 0 there.  Raises
+    CountMismatchError when multiplicities miss the degree 2b - 1 and
     UnitCircleViolationError when a nonreal root sits inside the unit circle
     (both indicate numerical failure, not a spectral event).
     """
@@ -583,11 +617,11 @@ def classify_zeros(
             complex_total += m
             continue
         x = z.real
-        if abs(x + 1.0) <= cfg.tau_edge:
-            classified.append(ClassifiedZero(complex(-1.0), m, EDGE_MINUS))
+        if x == -1.0:
+            classified.append(ClassifiedZero(complex(x), m, EDGE_MINUS))
             mu_minus += m
-        elif abs(x - 1.0) <= cfg.tau_edge:
-            classified.append(ClassifiedZero(complex(1.0), m, EDGE_PLUS))
+        elif x == 1.0:
+            classified.append(ClassifiedZero(complex(x), m, EDGE_PLUS))
             mu_plus += m
         elif x < -1.0:
             classified.append(ClassifiedZero(complex(x), m, RES_LEFT))
@@ -686,25 +720,17 @@ def norming_constants(
     (:func:`_polish_fixed`), rounded once from its ints.  p must carry the
     potential's values, as :func:`jost_coefficients` builds it.
 
-    A ledger with a zero snapped to +-1 (mu_minus or mu_plus above 0) may
-    have snapped a bound state there, so its N is checked against the
-    states the pivots count at alpha = 1 (:func:`_sturm_counts`), and a
-    mismatch raises CountMismatchError; without a snapped zero no count
-    runs.  A bound state of multiplicity above 1 (two zeros that coincide at
-    the working precision) or a c^2 outside double range raises
-    FloatOverflowError naming that precision; a polish that fails raises
-    NoConvergenceError.
+    A bound state of multiplicity above 1 (two zeros that coincide at the
+    working precision) raises FloatOverflowError naming that precision.
+    Then, for b >= 1, Z_01 and Z_m10 must equal the states of V and -V that
+    the pivots count at alpha = 1 (:func:`_sturm_counts`), or
+    CountMismatchError; an edge zero sets its side's last pivot to 0
+    exactly, so that pivot counts no state even if rounding puts it below.
+    A c^2 outside double range raises FloatOverflowError naming that
+    precision; a polish that fails raises NoConvergenceError.
     """
     if len(p.values) != ledger.b:
         raise ValueError("norming constants need the potential values in p.values")
-    if ledger.mu_minus or ledger.mu_plus:
-        x, sign = np.ones(2), np.array([1.0, -1.0])
-        n = int(_sturm_counts(np.asarray(p.values, dtype=float), x, sign)[0].sum())
-        if n != ledger.N:
-            raise CountMismatchError(
-                f"the ledger holds N={ledger.N} bound states with a zero snapped to "
-                f"+-1, but the pivots count {n}"
-            )
     ext = cfg is not None and cfg.is_extended
     precision = "40-digit" if ext else "double"
     roots = ledger.bound_state_roots()
@@ -714,6 +740,15 @@ def norming_constants(
             raise FloatOverflowError(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"
+            )
+    if ledger.b:
+        x, sign = np.ones(2), np.array([1.0, -1.0])
+        counts, last = _sturm_counts(np.asarray(p.values, dtype=float), x, sign)
+        n_pos, n_neg = counts - ((last < 0) & [ledger.mu_plus > 0, ledger.mu_minus > 0])
+        if (n_pos, n_neg) != (ledger.Z_01, ledger.Z_m10):
+            raise CountMismatchError(
+                f"the ledger holds {ledger.Z_01} bound states in (0, 1) and "
+                f"{ledger.Z_m10} in (-1, 0), but the pivots count {n_pos} and {n_neg}"
             )
     if ext:
         polished, F = _polish_fixed(p.values, alphas)

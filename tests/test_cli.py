@@ -102,15 +102,30 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "argv",
-        [["[-1000, -1, 1e10, -1]"], ["[2, -1e40, 1e40, 1e-20, -2]", "--precision", "ext"]],
+        [["[-1.0, -1e-20]"], ["[2, -1e40, 1e40, 1e-20, -2]", "--precision", "ext"]],
         ids=["std", "ext"],
     )
     def test_bound_state_snapped_to_the_edge_is_typed(self, capsys, argv):
+        # a state within 1e-20 of the edge rounds to +-1.0, where f0 != 0
         code, out, err = run(capsys, "analyze", *argv)
         assert code == EXIT_VERDICT
         assert out == ""
         assert err.startswith("numerical diagnostic:")
-        assert "snapped" in err
+        assert "closer to the band edge" in err
+
+    @pytest.mark.parametrize("precision", ["std", "ext"])
+    def test_state_near_the_edge_is_counted(self, capsys, precision):
+        code, out, _ = run(capsys, "analyze", "[-1000, -1, 1e10, -1]", "--precision", precision)
+        assert code == EXIT_OK
+        assert json.loads(out)["counts"]["N"] == 3
+
+    @pytest.mark.parametrize("precision", ["std", "ext"])
+    def test_exact_edge_zero(self, capsys, precision):
+        # f0 = 1 - 0.5 z - 1.5 z^2 + z^3 vanishes at z = 1 exactly
+        code, out, _ = run(capsys, "analyze", "[-1.5, 1.0]", "--precision", precision)
+        assert code == EXIT_OK
+        counts = json.loads(out)["counts"]
+        assert (counts["mu_minus"], counts["mu_plus"], counts["N"]) == (0, 1, 1)
 
     def test_precision_environment_variable_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("LATTICEJOST_PRECISION", "ext")

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,18 @@ class TestSpectralMap:
         # solve z + 1/z = 2 - lambda at lambda = 4.5 with |z| <= 1
         z = lambda_to_z(4.5)
         assert abs(z - (-0.5)) < 1e-14
+
+    @pytest.mark.parametrize("lam", [1e4, 1e8, 1e12, 1e300, -1e300])
+    def test_far_from_the_band(self, lam):
+        # the disk root of z^2 - (2 - lam) z + 1 at 700 digits, where
+        # 1 - lam/2 + sqrt(lam (lam - 4))/2 cancels in double above the band
+        with mpmath.workdps(700):
+            big = 1 - mpmath.mpf(lam) / 2
+            root = big + mpmath.sqrt(big**2 - 1) * (1 if lam > 4 else -1)
+            ref = float(root)
+        z = lambda_to_z(lam)
+        assert z.imag == 0.0
+        assert abs(z.real - ref) <= 2 * math.ulp(ref)
 
     def test_z_to_lambda_hand_values(self):
         assert z_to_lambda(complex(1.0)) == 0.0
@@ -121,13 +135,21 @@ class TestNumericConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("tau_real", math.nan), ("tau_cluster", math.inf), ("tau_edge", math.nan)],
+        [("tau_real", math.nan), ("tau_cluster", math.inf), ("tau_real", math.inf)],
     )
     def test_non_finite_thresholds(self, field, value):
         # NaN passes every order comparison's negation, and an infinite
         # tau_cluster merges every root into one cluster
         with pytest.raises(ValueError, match="positive and finite"):
             NumericConfig(**{field: value})
+
+    def test_no_edge_threshold(self):
+        # the exact f0(+-1) decides the edge zeros, so no threshold is settable
+        assert [f.name for f in dataclasses.fields(NumericConfig)] == [
+            "tau_real", "tau_cluster", "precision_mode"
+        ]
+        with pytest.raises(TypeError):
+            NumericConfig(tau_edge=1e-4)
 
 
 class TestLoadPotential:

@@ -6,7 +6,6 @@ import pytest
 
 from latticejost.core import NumericConfig, validate_potential
 from latticejost.design import (
-    _band_edges,
     alternating_potential,
     amplify_to_full_bound,
     choose_epsilon,
@@ -17,7 +16,7 @@ from latticejost.design import (
     verify_b3,
 )
 from latticejost.errors import InconsistentRootsError
-from latticejost.jost import jost_coefficients, rouche_margin
+from latticejost.jost import _band_edges, jost_coefficients, rouche_margin
 from latticejost.spectrum import classify_zeros, find_zeros
 
 CFG = NumericConfig()

@@ -193,6 +193,12 @@ class TestEvaluation:
         with pytest.raises(ZeroArgumentError):
             jost_solution(validate_potential([2.0]), 0.0)
 
+    @pytest.mark.parametrize("z", [2, 2.0, 2 + 0j], ids=repr)
+    def test_solution_beyond_double_range_is_typed(self, z):
+        # z^1100 = 2^1100 leaves double range
+        with pytest.raises(FloatOverflowError, match="leaves double range"):
+            jost_solution(validate_potential([1.0] * 1100), z)
+
     def test_known_root_of_example_potential(self):
         V = validate_potential([-math.sqrt(5), 4.0 / math.sqrt(5)])
         f = jost_solution(V, 0.5)

@@ -138,13 +138,14 @@ class TestOneAnalysisPerPotential:
         assert v.all_theorems_hold is False
 
     def test_edge_snapped_zero_still_mirrors(self):
-        # the ledger moves V's resonance at 1 + 1e-5 to the edge +1; the
-        # sign-flip verdict reads the exact coefficients, never the snapped zero
-        cfg = NumericConfig(tau_edge=1e-4)
-        V = validate_potential([-1 / (1 + 1e-5)])
-        report = analyze(V, cfg)
-        assert report.ledger.mu_plus == 1
-        assert report.verdicts.sign_flip_symmetry
+        # f0 = 1 - z vanishes at +1 exactly, so the ledger snaps V's zero to
+        # the edge; the sign-flip verdict reads the exact coefficients, never
+        # the snapped zero
+        V = validate_potential([-1.0])
+        for cfg in (CFG, EXT):
+            report = analyze(V, cfg)
+            assert report.ledger.mu_plus == 1
+            assert report.verdicts.sign_flip_symmetry
 
     @pytest.mark.parametrize(
         "cfg, bs", [(CFG, (1, 4, 8, 12, 16)), (EXT, (4, 8, 12))], ids=["std", "ext"]

@@ -52,6 +52,12 @@ class TestOracleBoundStates:
         with pytest.raises(ValueError):
             oracle_bound_states(validate_potential([2.0]), margin=0.0)
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+    def test_margin_must_be_positive_and_finite(self, margin):
+        # nan and inf once filtered every eigenvalue away and returned []
+        with pytest.raises(ValueError, match="positive and finite"):
+            oracle_bound_states(validate_potential([2.0]), margin=margin)
+
     def test_equals_filtered_full_spectrum(self):
         # either kernel (bisection of the out-of-band intervals while
         # 20 b <= M, one QR pass over the whole spectrum above) must

@@ -18,6 +18,11 @@ from latticejost.design import alternating_potential
 from latticejost.jost import JostPolynomial, jost_coefficients
 from latticejost.report import analyze
 from latticejost.spectrum import (
+    BOUND_POS,
+    EDGE_MINUS,
+    EDGE_PLUS,
+    RES_LEFT,
+    RES_RIGHT,
     _aberth,
     _g0_fixed,
     _horner_fixed,
@@ -538,31 +543,109 @@ class TestNormingConstants:
     @pytest.mark.parametrize(
         "values, cfg",
         [
-            # a state at 1 - 1e-10, within tau_edge = 1e-9 of +1
-            ([-1000.0, -1.0, 1e10, -1.0], CFG),
+            # a state at 1 - 1e-20, which rounds to 1.0; f0(1) = -1e-20
+            ([-1.0, -1e-20], CFG),
             # a state at -1 + 1e-20, which rounds to -1.0
             ([2.0, -1e40, 1e40, 1e-20, -2.0], NumericConfig.extended()),
-            # f0 = 1 - z / (1 - 1e-5): the state 1 - 1e-5, within tau_edge = 1e-4
-            ([-1 / (1 - 1e-5)], NumericConfig(tau_edge=1e-4)),
+            # the first mirrored: a state at -1 + 1e-20
+            ([1.0, 1e-20], CFG),
         ],
-        ids=["std", "ext", "wide-edge"],
+        ids=["std", "ext", "std-minus"],
     )
     def test_bound_state_snapped_to_the_edge_is_typed(self, values, cfg):
-        # the ledger bins the state as an edge zero, so its N falls one short
-        # of the pivots' count, while every verdict would still hold
-        assert exact_count(values) == 1 + ledger_for(values, cfg)[0].N
-        with pytest.raises(CountMismatchError, match="snapped"):
+        # f0(+-1) != 0, so the root that rounds to +-1.0 is no edge zero, and
+        # f0's exact signs beside the edge place it inside: double cannot hold it
+        assert exact_count(values) >= 1
+        with pytest.raises(FloatOverflowError, match="closer to the band edge"):
             analyze(validate_potential(values), cfg)
 
-    def test_edge_count_runs_only_for_a_snapped_zero(self, count_calls):
+    def test_pivot_count_runs_once_per_analyze(self, count_calls):
         calls = count_calls(_sturm_counts)
         analyze(validate_potential(EX42_POTENTIAL), CFG)
         analyze(validate_potential(EX42_POTENTIAL), NumericConfig.extended())
-        assert calls == []
-        # f0 = 1 - z / (1 + 1e-5): a resonance at 1 + 1e-5 snapped to +1
-        report = analyze(validate_potential([-1 / (1 + 1e-5)]), NumericConfig(tau_edge=1e-4))
-        assert (report.ledger.mu_plus, report.ledger.N) == (1, 0)
-        assert len(calls) == 1
+        assert len(calls) == 2
+        analyze(validate_potential([]), CFG)
+        analyze(validate_potential([]), NumericConfig.extended())
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    def test_count_mismatch_is_typed(self, cfg):
+        # a ledger that misses a bound state: EX42's state at 1/2 moved out to 2
+        ledger, p = ledger_for(EX42_POTENTIAL, cfg)
+        roots = [(2.0 if cz.kind == BOUND_POS else cz.z, cz.multiplicity) for cz in ledger.zeros]
+        short = classify_zeros(roots, cfg, ledger.b)
+        with pytest.raises(CountMismatchError, match="pivots count 1 and 1"):
+            norming_constants(short, p, cfg)
+
+
+EDGE_PANEL = [[-1.0], [1.0], [-1.5, 1.0], [-1 / (1 + 1e-10)], [-1 / (1 - 1e-10)]]
+
+
+class TestEdgeZeros:
+    @pytest.mark.parametrize("values", EDGE_PANEL, ids=str)
+    def test_std_and_ext_agree(self, values):
+        V = validate_potential(values)
+        reports = [analyze(V, cfg) for cfg in (CFG, NumericConfig.extended())]
+        ledgers = [
+            (r.ledger.N, r.ledger.mu_minus, r.ledger.mu_plus, [cz.kind for cz in r.ledger.zeros])
+            for r in reports
+        ]
+        assert ledgers[0] == ledgers[1]
+        assert all(r.verdicts.all_theorems_hold for r in reports)
+        assert reports[0].ledger.N == exact_count(values)
+
+    @pytest.mark.parametrize(
+        "values, mu",
+        [([-1.0], (0, 1)), ([1.0], (1, 0)), ([-1.5, 1.0], (0, 1)), ([-1 / (1 + 1e-10)], (0, 0))],
+        ids=str,
+    )
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    def test_edge_multiplicities_are_exact(self, values, mu, cfg):
+        # mu_minus, mu_plus are 1 exactly where f0(-1), f0(1) vanish: f0 = 1 - z,
+        # 1 + z and 1 - 0.5 z - 1.5 z^2 + z^3; the last value puts its root
+        # 1e-10 beyond +1, a resonance
+        ledger, _ = ledger_for(values, cfg)
+        assert (ledger.mu_minus, ledger.mu_plus) == mu
+        edges = [cz.z for cz in ledger.zeros if cz.kind in (EDGE_MINUS, EDGE_PLUS)]
+        assert edges == [complex(x) for x, m in zip((-1.0, 1.0), mu) if m]
+
+    @pytest.mark.parametrize(
+        "values, n", [([-1000.0, -1.0, 1e10, -1.0], 3), ([-1.0000000001], 1)], ids=str
+    )
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    def test_states_near_the_edge_are_counted(self, values, n, cfg):
+        # states at 1 - 1e-10: std's 1e-9 edge tolerance once binned them at +1
+        report = analyze(validate_potential(values), cfg)
+        assert report.ledger.N == exact_count(values) == n
+        assert report.ledger.mu_plus == 0
+        assert report.verdicts.all_theorems_hold
+
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    def test_edge_zero_with_a_pivot_just_below_zero(self, cfg):
+        # f0(1) = 0 exactly, but the last pivot at alpha = 1 rounds to -8.9e-16
+        values = [-14.0, -2.25, -7.0]
+        last = _sturm_counts(np.asarray(values), np.ones(1), np.ones(1))[1]
+        assert last[0] < 0
+        report = analyze(validate_potential(values), cfg)
+        assert report.ledger.mu_plus == 1
+        assert report.ledger.N == exact_count(values) == 2
+        assert report.verdicts.all_theorems_hold
+
+    @pytest.mark.parametrize(
+        "values, z",
+        [([1.0, -1e-150], -1.0000000000000002), ([-1.0, 1e-20], 1.0000000000000002)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
+    def test_resonance_within_half_an_ulp_of_the_edge(self, values, z, cfg):
+        # f0(+-1) != 0 and the root that rounds to +-1.0 lies beyond the edge:
+        # it comes back as the next double out, a resonance
+        ledger, _ = ledger_for(values, cfg)
+        assert (ledger.mu_minus, ledger.mu_plus, ledger.N) == (0, 0, 0)
+        near = [cz for cz in ledger.zeros if abs(abs(cz.z) - 1.0) < 1e-15]
+        assert [(cz.z, cz.kind) for cz in near] == [
+            (complex(z), RES_LEFT if z < 0 else RES_RIGHT)
+        ]
 
 
 def exact_count(values) -> int:
