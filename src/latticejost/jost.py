@@ -20,9 +20,10 @@ The coefficient certificates read the one built polynomial: the exact
 f0(+-1) and signs of f0 (:func:`_band_edges`, :func:`_sign_at`), the
 small-coefficient test for N = 0 (:func:`_small_coefficients`), the
 Rouche margin for N = b, |prod V_j| against the coefficients of
-G = f0 - (prod V_j) z^b (:func:`_rouche_margin`), and the parity
-f0^{-V}(z) = f0^V(-z) of the sign-flip law on the exact ints
-(:func:`_negation_is_parity`).
+G = f0 - (prod V_j) z^b (:func:`_rouche_margin`), and the identity
+f0^{-V}(z) = f0^V(-z) of the sign-flip law, certified together with the
+ints themselves by the recursion run at fixed points modulo a prime
+(:func:`_sign_flip_certificate`).
 """
 
 from __future__ import annotations
@@ -187,16 +188,46 @@ def _small_coefficients(p: JostPolynomial) -> bool:
     return max(abs(c) for c in p.coeffs[1:]) < 1.0 / (2 * p.b)
 
 
-def _negation_is_parity(p: JostPolynomial) -> bool:
-    """Whether -V's exact coefficients are p's under c_j -> (-1)^j c_j.
+_Q = (1 << 61) - 1  # a Mersenne prime, the certificate's modulus
+_POINTS = (3, 5)  # fixed, so that a verdict never varies between runs
 
-    f0^{-V}(z) = f0^V(-z) is the identity behind the sign-flip law: -V's
-    dyadic ints are built anew from the negated values and compared with
-    p.ints, at equal shift.  Equal polynomials have negated zero multisets,
-    so this certifies the law with no rounding anywhere.
+
+def _sign_flip_certificate(p: JostPolynomial) -> bool:
+    """Whether p is V's Jost polynomial and f0^{-V}(z) = f0^V(-z), checked mod q.
+
+    The identity is the sign-flip law: equal polynomials have negated zero
+    multisets.  At each fixed z the step of :func:`_int_coefficients` runs
+    on one value mod q, for V and for -V, from h_b = 1 and h_(b+1) = 1/S
+    (z^b divided out), so it ends at S^b f0(z) = 2^shift f0(z) when
+    shift = E b, which is required too.  V's value must be P(z) and -V's
+    P(-z), for P = sum p.ints[j] z^j, from one Horner pass over each of P's
+    even and odd parts.  The pointwise run is a route independent of the
+    coefficient kernel, so in O(b) steps and with no second build this
+    certifies p.ints as well as the law: a wrong polynomial agrees with the
+    right one at a random point with probability at most 2b/q (Schwartz
+    1980; Zippel 1979).
     """
-    ints, shift = _int_coefficients([-v for v in p.values])
-    return shift == p.shift and ints == [-c if j % 2 else c for j, c in enumerate(p.ints)]
+    ms, E = _dyadic(p.values)
+    if E * len(ms) != p.shift or len(p.ints) != max(1, 2 * len(ms)):
+        return False
+    S = pow(2, E, _Q)
+    for z in _POINTS:
+        zz = z * z
+        a, w = S * (1 + zz) % _Q, S * S * zz % _Q
+        h_pos = h_neg = 1
+        next_pos = next_neg = pow(2, -E % 61, _Q)  # 1/S, as 2^61 = 1 mod q
+        for m in reversed(ms):
+            mz = m * z
+            h_pos, next_pos = ((a + mz) * h_pos - w * next_pos) % _Q, h_pos
+            h_neg, next_neg = ((a - mz) * h_neg - w * next_neg) % _Q, h_neg
+        even = odd = 0
+        for c in reversed(p.ints[::2]):
+            even = even * zz + c
+        for c in reversed(p.ints[1::2]):
+            odd = odd * zz + c
+        if (h_pos - even - z * odd) % _Q or (h_neg - even + z * odd) % _Q:
+            return False
+    return True
 
 
 def _rouche_margin(p: JostPolynomial) -> float:

@@ -13,8 +13,8 @@ from typing import Optional
 from .core import NumericConfig, Potential
 from .jost import (
     JostPolynomial,
-    _negation_is_parity,
     _rouche_margin,
+    _sign_flip_certificate,
     _small_coefficients,
     jost_coefficients,
 )
@@ -102,12 +102,13 @@ def check_small_coefficient_criterion(
 def check_sign_flip_symmetry(V: Potential, cfg: NumericConfig) -> bool:
     """Negating the potential negates the zero multiset of f0.
 
-    Certified on the exact coefficients: -V's ints are V's under
-    c_j -> (-1)^j c_j, that is f0^{-V}(z) = f0^V(-z), so -V's zeros are V's
-    negated with no root found and no tolerance (:func:`_negation_is_parity`).
-    cfg no longer matters; it stays for callers that pass it.
+    Certified on V's exact coefficients: f0^{-V}(z) = f0^V(-z), so -V's
+    zeros are V's negated with no root found and no tolerance.  The Jost
+    recursion of V and of -V, run at fixed points modulo a prime, must match
+    V's ints there at z and at -z (:func:`_sign_flip_certificate`).  cfg no
+    longer matters; it stays for callers that pass it.
     """
-    return _negation_is_parity(jost_coefficients(V))
+    return _sign_flip_certificate(jost_coefficients(V))
 
 
 def evaluate_laws(
@@ -117,8 +118,9 @@ def evaluate_laws(
 
     The ledger must classify p's roots under cfg; the counting verdicts read
     it, and the Rouche margin reads p, so nothing of V is rebuilt.  The
-    sign-flip verdict finds no zeros: -V's exact ints are built once and
-    must be p.ints with the odd ones negated (:func:`_negation_is_parity`).
+    sign-flip verdict finds no zeros and builds no second polynomial: the
+    recursions of V and -V at fixed points modulo a prime must give p.ints'
+    values at z and at -z (:func:`_sign_flip_certificate`).
     """
     ok_minus, eps_minus, ok_plus, eps_plus = check_resonance_inequalities(ledger)
     rouche = (ledger.N == V.b) if _rouche_margin(p) > 0 else None
@@ -131,5 +133,5 @@ def evaluate_laws(
         eps_plus=eps_plus,
         small_coeff_certificate=check_small_coefficient_criterion(p, ledger),
         rouche_certificate=rouche,
-        sign_flip_symmetry=_negation_is_parity(p),
+        sign_flip_symmetry=_sign_flip_certificate(p),
     )

@@ -4,10 +4,11 @@ Roots are found from the potential itself: the eigenvalues of one
 (2b - 1)-square linearization of the quadratic eigenproblem behind f0, each
 polished by Newton steps on the Jost recursion in the chart (z inside the
 unit circle, 1/z outside) where that recursion is stable.  The roots with
-|z| >= 1 are merged into multiplicity clusters; those inside are bound
-states, real and simple, and stay apart.  All are binned by the interval
-scheme: bound states in (-1,0) and (0,1), real resonances beyond +-1,
-exceptional zeros at +-1, and complex pairs outside the unit circle.
+|z| >= 1 are merged into multiplicity clusters by a sweep over their real
+parts; those inside are bound states, real and simple, and stay apart.  All
+are binned by the interval scheme: bound states in (-1,0) and (0,1), real
+resonances beyond +-1, exceptional zeros at +-1, and complex pairs outside
+the unit circle.
 
 In extended precision :func:`find_zeros` refines the roots from the exact
 coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
@@ -18,7 +19,8 @@ each correction is judged against its root's modulus, so the double roots
 reach the stop in two exact passes.  The norming constants are the Jost
 solution's norm, one O(b) recursion in double arithmetic in either
 precision.  The exact f0(+-1) on the ints gives the edge zeros, and every
-ledger's bound states are checked against the pivots' count.
+ledger's bound states are checked against the pivots' count at alpha = 1,
+one scalar loop for V and one for -V.
 
 The large-support scan counts the bound states by the operator's pivots and
 narrows brackets on that count, so it needs no coefficients: coincident
@@ -78,7 +80,14 @@ COMPLEX_PAIR = "ComplexPair"
 
 
 def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
-    """Greedy union-find merge of roots closer than tol; centroid + count."""
+    """Merge roots closer than tol, transitively; each group's centroid and size.
+
+    |z - w| >= |Re(z - w)|, so only roots within tol in real part can merge:
+    a sweep over the roots sorted by real part compares each with those
+    still inside that window.  Groups come in order of their first root and
+    keep their roots in input order, so the centroids do not depend on the
+    sweep.
+    """
     n = len(roots)
     parent = list(range(n))
 
@@ -88,8 +97,12 @@ def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
+    order = sorted(range(n), key=lambda i: roots[i].real)
+    lo = 0
+    for k, i in enumerate(order):
+        while roots[i].real - roots[order[lo]].real > tol:
+            lo += 1
+        for j in order[lo:k]:
             if abs(roots[i] - roots[j]) < tol:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -97,11 +110,7 @@ def _cluster(roots: list[complex], tol: float) -> list[tuple[complex, int]]:
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(roots[i])
-    out = []
-    for members in groups.values():
-        centroid = sum(members) / len(members)
-        out.append((centroid, len(members)))
-    return out
+    return [(sum(members) / len(members), len(members)) for members in groups.values()]
 
 
 def _fixed_bits(roots: Sequence[complex], dps: int) -> int:
@@ -723,7 +732,7 @@ def norming_constants(
     A bound state of multiplicity above 1 (two zeros that coincide at the
     working precision) raises FloatOverflowError naming that precision.
     Then, for b >= 1, Z_01 and Z_m10 must equal the states of V and -V that
-    the pivots count at alpha = 1 (:func:`_sturm_counts`), or
+    the pivots count at alpha = 1 (:func:`_edge_pivots`), or
     CountMismatchError; an edge zero sets its side's last pivot to 0
     exactly, so that pivot counts no state even if rounding puts it below.
     A c^2 outside double range raises FloatOverflowError naming that
@@ -735,16 +744,18 @@ def norming_constants(
     precision = "40-digit" if ext else "double"
     roots = ledger.bound_state_roots()
     alphas = [alpha for _, alpha in roots]
-    for k, alpha in roots:
-        if alphas.count(alpha) > 1:
+    for (k, alpha), nxt in zip(roots, alphas[1:]):  # ascending: equal ones are neighbours
+        if alpha == nxt:
             raise FloatOverflowError(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"
             )
     if ledger.b:
-        x, sign = np.ones(2), np.array([1.0, -1.0])
-        counts, last = _sturm_counts(np.asarray(p.values, dtype=float), x, sign)
-        n_pos, n_neg = counts - ((last < 0) & [ledger.mu_plus > 0, ledger.mu_minus > 0])
+        counts = []
+        for sign, mu in ((1.0, ledger.mu_plus), (-1.0, ledger.mu_minus)):
+            count, last = _edge_pivots(p.values, sign)
+            counts.append(count - (last < 0 < mu))
+        n_pos, n_neg = counts
         if (n_pos, n_neg) != (ledger.Z_01, ledger.Z_m10):
             raise CountMismatchError(
                 f"the ledger holds {ledger.Z_01} bound states in (0, 1) and "
@@ -779,6 +790,25 @@ _MP_DPS = 40
 _MP_STOP = 10**38  # Newton stops once |dz| * _MP_STOP <= |z|
 _MP_SIMPLIFIED_STEPS = 4
 _MP_NEWTON_STEPS = 5
+
+
+def _edge_pivots(values: Sequence[float], sign: float) -> tuple[int, float]:
+    """:func:`_sturm_counts` at x = 1 for one sign, in scalar floats.
+
+    The count of negative pivots d_n = sign V_n + 2 - 1/d_(n-1), the last
+    one less 1, and that last d_b - 1: the same IEEE operations in the same
+    order as the numpy rows, 1/+-0 = +-inf included, so both agree bit for
+    bit, without numpy's per-call cost on two points.
+    """
+    count, inv, last = 0, 0.0, len(values) - 1
+    for n, v in enumerate(values):
+        d = sign * v + 2.0
+        if n == last:
+            d -= 1.0
+        d -= inv
+        count += d < 0
+        inv = 1.0 / d if d else math.copysign(math.inf, d)
+    return count, d
 
 
 def _sturm_counts(values: np.ndarray, x: np.ndarray, sign: np.ndarray):

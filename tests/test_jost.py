@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from latticejost.core import Potential, validate_potential
 from latticejost.errors import FloatOverflowError, ZeroArgumentError
 from latticejost.jost import (
     _int_coefficients,
-    _negation_is_parity,
+    _sign_flip_certificate,
     jost_coefficients,
     jost_eval,
     jost_solution,
@@ -101,16 +102,34 @@ def _parity_panel():
 
 @pytest.mark.parametrize("values", _parity_panel())
 def test_mirrored_equals_negated_build(values):
-    # the sign-flip verdict compares V's exact ints, odd ones negated, with
-    # -V's own build; -V's floats are then V's mirrored too
+    # the sign-flip certificate holds where -V's own build, the oracle here,
+    # is V's exact ints with the odd ones negated; -V's floats are then V's
+    # mirrored too
     V = validate_potential(values)
     p = jost_coefficients(V)
-    assert _negation_is_parity(p)
+    assert _sign_flip_certificate(p)
     want = jost_coefficients(V.negated())
     assert want.shift == p.shift
     assert want.ints == tuple(-c if j % 2 else c for j, c in enumerate(p.ints))
     assert want.coeffs == tuple(-c if j % 2 else c for j, c in enumerate(p.coeffs))
     assert want.values == tuple(-v for v in p.values)
+
+
+@pytest.mark.parametrize("b", [1, 7, 40])
+def test_certificate_fails_on_any_corrupted_int(b):
+    # one int off by +-1, at any index, even or odd, is seen at the fixed points
+    p = jost_coefficients(validate_potential(list(np.random.default_rng(b).uniform(-3, 3, b))))
+    assert _sign_flip_certificate(p)
+    for j in range(len(p.ints)):
+        for delta in (1, -1):
+            ints = list(p.ints)
+            ints[j] += delta
+            assert not _sign_flip_certificate(dataclasses.replace(p, ints=tuple(ints))), (j, delta)
+    for bad in (
+        dataclasses.replace(p, shift=p.shift + b),  # as if E were one more
+        dataclasses.replace(p, ints=(*p.ints, 0)),  # equal values, one int too many
+    ):
+        assert not _sign_flip_certificate(bad)
 
 
 def _fraction_recursion(values) -> list:

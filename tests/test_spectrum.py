@@ -24,6 +24,8 @@ from latticejost.spectrum import (
     RES_LEFT,
     RES_RIGHT,
     _aberth,
+    _cluster,
+    _edge_pivots,
     _g0_fixed,
     _horner_fixed,
     _jost_aberth,
@@ -224,6 +226,62 @@ def test_bound_states_closer_than_tau_cluster_stay_apart(values):
     assert report.verdicts.all_theorems_hold
     assert report.ledger.N == exact_count(values) == 2
     assert [cz.multiplicity for cz in report.ledger.zeros] == [1, 1, 1]
+
+
+def _cluster_pairwise(roots, tol):
+    """Reference for _cluster: union-find over every pair, groups by first root."""
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if abs(roots[i] - roots[j]) < tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, z in enumerate(roots):
+        groups.setdefault(find(i), []).append(z)
+    return [(sum(g) / len(g), len(g)) for g in groups.values()]
+
+
+def _cluster_panel(rng, tol):
+    """A random root set: loose points, chains, equal real parts, exact-tol pairs."""
+    roots = []
+    for _ in range(rng.randrange(0, 6)):
+        x, y = rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-3, 3)])
+        kind = rng.randrange(5)
+        if kind == 0:  # a blob: some pairs merge, some do not
+            roots += [complex(x + rng.uniform(0, 2 * tol), y + rng.uniform(0, 2 * tol))
+                      for _ in range(rng.randrange(1, 6))]
+        elif kind == 1:  # a chain: links under tol, ends far apart
+            step = rng.uniform(0.5, 0.99) * tol
+            roots += [complex(x + k * step, y) for k in range(rng.randrange(2, 8))]
+        elif kind == 2:  # one real part, imaginary parts within reach
+            roots += [complex(x, y + k * rng.uniform(0.5, 1.5) * tol)
+                      for k in range(rng.randrange(2, 6))]
+        elif kind == 3:  # tol apart in real or imaginary part (exactly, for 2^-k): no merge
+            x, y = (rng.randrange(-2**20, 2**20) * tol for _ in range(2))
+            roots += [complex(x, y), complex(x + tol, y), complex(x + tol, y + tol)]
+        else:
+            roots.append(complex(x, y))
+    rng.shuffle(roots)
+    return roots
+
+
+def test_cluster_sweep_equals_pairwise_union_find():
+    rng = random.Random(31)
+    merged = 0
+    for _ in range(1000):
+        tol = rng.choice([2.0**-20, 1e-6, 0.25])
+        roots = _cluster_panel(rng, tol)
+        got, want = _cluster(roots, tol), _cluster_pairwise(roots, tol)
+        as_bits = lambda groups: [(z.real.hex(), z.imag.hex(), m) for z, m in groups]
+        assert as_bits(got) == as_bits(want), (roots, tol)
+        merged += len(got) < len(roots)
+    assert merged > 300
 
 
 def test_aberth_raises_at_its_pass_cap():
@@ -560,13 +618,53 @@ class TestNormingConstants:
             analyze(validate_potential(values), cfg)
 
     def test_pivot_count_runs_once_per_analyze(self, count_calls):
-        calls = count_calls(_sturm_counts)
+        calls = count_calls(_edge_pivots)
         analyze(validate_potential(EX42_POTENTIAL), CFG)
         analyze(validate_potential(EX42_POTENTIAL), NumericConfig.extended())
-        assert len(calls) == 2
+        assert [sign for _, sign in calls] == [1.0, -1.0] * 2  # V, then -V
         analyze(validate_potential([]), CFG)
         analyze(validate_potential([]), NumericConfig.extended())
-        assert len(calls) == 2
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_count_equals_sturm_counts(self, sign):
+        rng = np.random.default_rng(29)
+        panel = [list(rng.uniform(-3, 3, int(rng.integers(1, 41)))) for _ in range(200)]
+        panel += [
+            [-2.0, 0.5, 1.0],  # d_1 = 0 exactly: d_2 = -inf
+            [2.0, 0.5, 1.0],  # the same for -V
+            [-2.0, 0.5],  # the last pivot is -inf
+            [-1.0],  # f0(1) = 0: the last pivot is 0
+            [-14.0, -2.25, -7.0],  # f0(1) = 0, but the last pivot rounds to -8.9e-16
+            [1e308, 1e308],
+            [-1e308, 1e308, -1e308],  # pivots near +-1e308, reciprocals near 1e-308
+            [5e-324, 1.0],
+            [-2.0 + 2.0**-52, -1.0],  # d_1 = 2^-52, so d_2 is near -4.5e15
+        ]
+        for values in panel:
+            counts, last = _sturm_counts(np.asarray(values), np.ones(1), np.full(1, sign))
+            count, d = _edge_pivots(values, sign)
+            assert (count, d.hex()) == (int(counts[0]), float(last[0]).hex()), values
+        assert _edge_pivots([-2.0, 0.5], 1.0) == (1, -math.inf)
+        assert _edge_pivots([-14.0, -2.25, -7.0], 1.0)[1] == pytest.approx(-8.9e-16, rel=0.01)
+
+    def test_multiple_zero_names_the_first_state(self):
+        # after a state at -0.5, an alpha held twice or three times: the
+        # message names the first k that holds it
+        _, p = ledger_for([1.0, 2.0, 3.0])
+        for roots in (
+            [-0.5, 0.25, 0.25, 0.75, 3.0],
+            [-0.5, 0.25, 0.25, 0.25, 3.0],
+            [-0.5, 0.25, 0.75, 0.75, 3.0],
+        ):
+            ledger = classify_zeros([(complex(z), 1) for z in roots], CFG, 3)
+            k, alpha = (2, 0.25) if roots[2] == 0.25 else (3, 0.75)
+            with pytest.raises(FloatOverflowError) as err:
+                norming_constants(ledger, p, CFG)
+            assert str(err.value) == (
+                f"bound state k={k} at alpha={alpha} is a multiple zero: "
+                "its norming constant leaves double precision"
+            )
 
     @pytest.mark.parametrize("cfg", [CFG, NumericConfig.extended()], ids=["std", "ext"])
     def test_count_mismatch_is_typed(self, cfg):
