@@ -100,9 +100,6 @@ def _sweep_row(b: int, amplitude: float, cfg: NumericConfig):
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: NumericConfig) -> int:
-    if args.family != "alternating":
-        print(f"input error: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT
     if args.bmax < 1:
         print("input error: --bmax must be at least 1", file=sys.stderr)
         return EXIT_INPUT
@@ -250,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sw = sub.add_parser("sweep", help="bound-state count sweep over a potential family")
-    p_sw.add_argument("--family", default="alternating")
+    p_sw = sub.add_parser("sweep", help="bound-state count sweep over the alternating family")
     p_sw.add_argument("--amplitude", type=float, default=2.0)
     p_sw.add_argument("--bmax", type=int, required=True)
     _add_flags(p_sw)

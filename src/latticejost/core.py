@@ -87,14 +87,9 @@ class SpectralPoint:
         return cls(lambda_to_z(lam), lam)
 
 
-# Extended-mode thresholds shrink because high-precision root refinement
-# makes much tighter real-axis and cluster decisions meaningful.
-_EXT_SCALE = 1e-10
-
-
 @dataclass(frozen=True)
 class NumericConfig:
-    """Classification thresholds and the precision mode shared by the pipeline.
+    """The precision mode, and the two thresholds that it alone sets.
 
     tau_real:    |Im z| below which a root is snapped to the real axis;
                  also how far below 1, at least 4 ulps, |z| of a nonreal
@@ -103,29 +98,29 @@ class NumericConfig:
                  into one multiple root; the zeros inside the unit disk
                  are bound states, real and simple, and never merge.
 
-    No threshold decides the edge (exceptional) zeros at z = +-1: there is
-    one exactly where f0(+-1) = 0 on the exact coefficients.
+    Standard precision uses 1e-9 and 1e-6; extended scales both by 1e-10,
+    as its 40-digit root refinement makes tighter decisions meaningful.  No
+    threshold decides the edge (exceptional) zeros at z = +-1: there is one
+    exactly where f0(+-1) = 0 on the exact coefficients.
     """
 
-    tau_real: float = 1e-9
-    tau_cluster: float = 1e-6
     precision_mode: str = "standard"
 
     def __post_init__(self) -> None:
         if self.precision_mode not in ("standard", "extended"):
             raise ValueError(f"unknown precision mode {self.precision_mode!r}")
-        if not all(0 < t < math.inf for t in (self.tau_real, self.tau_cluster)):
-            raise ValueError("all thresholds must be positive and finite")
-        if self.tau_cluster < self.tau_real:
-            raise ValueError("tau_cluster must be at least tau_real")
 
     @classmethod
     def extended(cls) -> "NumericConfig":
-        return cls(
-            tau_real=1e-9 * _EXT_SCALE,
-            tau_cluster=1e-6 * _EXT_SCALE,
-            precision_mode="extended",
-        )
+        return cls("extended")
+
+    @property
+    def tau_real(self) -> float:
+        return 1e-9 * 1e-10 if self.is_extended else 1e-9
+
+    @property
+    def tau_cluster(self) -> float:
+        return 1e-6 * 1e-10 if self.is_extended else 1e-6
 
     @property
     def is_extended(self) -> bool:

@@ -446,6 +446,12 @@ def _beyond_edge(p: JostPolynomial, x: float) -> complex:
     )
 
 
+def _coincide(roots: Sequence[complex]) -> bool:
+    """Whether two real roots inside the unit disk are equal or adjacent doubles."""
+    disk = sorted(z.real for z in roots if not z.imag and abs(z.real) < 1.0)
+    return any(y <= math.nextafter(x, 1.0) for x, y in zip(disk, disk[1:]))
+
+
 def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int]]:
     """All roots of the Jost polynomial, clustered by multiplicity.
 
@@ -453,8 +459,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     Only roots with |z| >= 1 closer than cfg.tau_cluster merge
     (:func:`_cluster`).  One with |z| < 1 is an eigenvalue of the
     self-adjoint Dirichlet Jacobi operator, real and simple (Teschl 2000),
-    so it keeps multiplicity 1; two equal in double stay two entries, which
-    :func:`norming_constants` reports as a multiple zero.
+    so it keeps multiplicity 1; two on equal or adjacent doubles stay two
+    entries, which :func:`norming_constants` reports as a multiple zero.
     The roots come from the potential, never from the rounded coefficients:
     they are the eigenvalues of :func:`_linearization`, built from p.values,
     each polished by :func:`_jost_newton` on the Jost recursion
@@ -464,12 +470,13 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
 
     The eigensolver loses the roots that lie far below the matrix's scale,
     which a potential spanning many orders of magnitude brings.  When a
-    polish does not converge, all roots start again from the Newton polygon
-    of the exact coefficients (:func:`_hull_seeds`), move by Aberth steps on
-    the Jost recursion (:func:`_jost_aberth`) and are polished once more; if
-    a polish still does not converge, NoConvergenceError.  Extended
-    precision then refines all roots by :func:`_aberth` on the exact
-    coefficients p.ints; standard precision stays in double throughout.
+    polish does not converge or merges two bound states (:func:`_coincide`),
+    all roots start again from the Newton polygon of the exact coefficients
+    (:func:`_hull_seeds`), move by Aberth steps on the Jost recursion
+    (:func:`_jost_aberth`) and are polished once more; if a polish still
+    does not converge, NoConvergenceError.  Extended precision then refines
+    all roots by :func:`_aberth` on the exact coefficients p.ints; standard
+    precision stays in double throughout.
 
     In both precisions, where the exact f0(+-1) (:func:`_band_edges`) is 0,
     the real root nearest +-1 becomes +-1.0 and stays out of the clusters;
@@ -496,7 +503,7 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"the eigensolver failed: {exc}") from exc
     polished, converged = _polish(values, list(map(complex, raw)), cfg.tau_real)
-    if not converged:
+    if not converged or _coincide(polished):
         try:
             roots = _jost_aberth(values, _hull_seeds(p.ints))
         except OverflowError as exc:
@@ -729,8 +736,8 @@ def norming_constants(
     (:func:`_polish_fixed`), rounded once from its ints.  p must carry the
     potential's values, as :func:`jost_coefficients` builds it.
 
-    A bound state of multiplicity above 1 (two zeros that coincide at the
-    working precision) raises FloatOverflowError naming that precision.
+    A bound state of multiplicity above 1 (two zeros on equal or adjacent
+    doubles) raises FloatOverflowError naming that precision.
     Then, for b >= 1, Z_01 and Z_m10 must equal the states of V and -V that
     the pivots count at alpha = 1 (:func:`_edge_pivots`), or
     CountMismatchError; an edge zero sets its side's last pivot to 0
@@ -744,8 +751,8 @@ def norming_constants(
     precision = "40-digit" if ext else "double"
     roots = ledger.bound_state_roots()
     alphas = [alpha for _, alpha in roots]
-    for (k, alpha), nxt in zip(roots, alphas[1:]):  # ascending: equal ones are neighbours
-        if alpha == nxt:
+    for (k, alpha), nxt in zip(roots, alphas[1:]):  # ascending: close ones are neighbours
+        if nxt <= math.nextafter(alpha, 1.0):
             raise FloatOverflowError(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"

@@ -100,6 +100,14 @@ class TestAnalyze:
         assert err.startswith("numerical diagnostic:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("potential", ["[1e40, 1e40]", "[1e20, -1e20, 1e20]"])
+    def test_multiple_zero_is_typed_in_double(self, capsys, potential):
+        # two bound states on equal or adjacent doubles, even after the restart
+        code, out, err = run(capsys, "analyze", potential)
+        assert code == EXIT_VERDICT
+        assert out == ""
+        assert "is a multiple zero: its norming constant leaves double precision" in err
+
     @pytest.mark.parametrize(
         "argv",
         [["[-1.0, -1e-20]"], ["[2, -1e40, 1e40, 1e-20, -2]", "--precision", "ext"]],
@@ -199,8 +207,13 @@ class TestSweep:
             assert int(cells[1]) == b
 
     def test_bad_family(self, capsys):
-        code, _, err = run(capsys, "sweep", "--bmax", "3", "--family", "nope")
-        assert code == EXIT_INPUT
+        # the sweep runs the alternating family alone, so takes no --family
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--bmax", "3", "--family", "alternating"])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --family alternating" in captured.err
 
     def test_bad_bmax(self, capsys):
         code, _, _ = run(capsys, "sweep", "--bmax", "0")
