@@ -22,10 +22,10 @@ from .design import (
     shrink_to_no_bound,
 )
 from .errors import InconsistentRootsError, LatticeJostError, TrailingZeroError
-from .jost import _rouche_margin
+from .jost import _rouche_margin, jost_coefficients
 from .oracle import match_energies, oracle_bound_states
-from .report import _analyze, analyze
-from .spectrum import bound_state_scan
+from .report import analyze
+from .spectrum import _bound_state_count, bound_state_scan
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -148,32 +148,33 @@ def cmd_design(args: argparse.Namespace, cfg: NumericConfig) -> int:
         elif args.mode == "shrink":
             pot = load_potential(args.potential)
             t, scaled, p = shrink_to_no_bound(pot)
-            rep = _analyze(scaled, p, cfg, time.perf_counter())
+            n = sum(_bound_state_count(p))
             doc = {
                 "t": t,
                 "potential": list(scaled.values),
-                "N": rep.ledger.N,
-                "small_coeff_certificate": rep.verdicts.small_coeff_certificate,
+                "N": n,
+                "small_coeff_certificate": n == 0,
             }
         elif args.mode == "amplify":
             A, pot, p = amplify_to_full_bound(_parse_signs(args.signs))
             doc = {
                 "A": A,
                 "potential": list(pot.values),
-                "N": _analyze(pot, p, cfg, time.perf_counter()).ledger.N,
+                "N": sum(_bound_state_count(p)),
                 "rouche_margin": _rouche_margin(p),
             }
         elif args.mode == "extend":
             pot = load_potential(args.potential)
             if args.epsilon is None:
-                eps, rep = choose_epsilon(pot, args.b, cfg)
+                eps, extension, p = choose_epsilon(pot, args.b)
             else:
                 eps = args.epsilon
-                rep = analyze(extend_with_epsilon(pot, args.b, eps), cfg)
+                extension = extend_with_epsilon(pot, args.b, eps)
+                p = jost_coefficients(extension)
             doc = {
                 "epsilon": eps,
-                "potential": list(rep.potential),
-                "N": rep.ledger.N,
+                "potential": list(extension.values),
+                "N": sum(_bound_state_count(p)),
             }
         else:  # pragma: no cover - argparse restricts choices
             return EXIT_INPUT
@@ -192,8 +193,6 @@ def cmd_oracle(args: argparse.Namespace, cfg: NumericConfig) -> int:
         pot = load_potential(args.potential)
         if args.size <= pot.b:
             raise ValueError(f"--size {args.size} must exceed the support {pot.b}")
-        if not 0 < args.margin < math.inf:
-            raise ValueError(f"--margin must be positive and finite, got {args.margin}")
         if not args.alpha_filter > 0:
             raise ValueError(f"--alpha-filter must be positive, got {args.alpha_filter}")
     except (LatticeJostError, ValueError, OSError) as exc:
@@ -208,7 +207,7 @@ def cmd_oracle(args: argparse.Namespace, cfg: NumericConfig) -> int:
         # bound state excluded from one list still shows up in the other
         oracle = [
             lam
-            for lam in oracle_bound_states(pot, M=args.size, margin=args.margin)
+            for lam in oracle_bound_states(pot, M=args.size)
             if abs(lambda_to_z(lam)) < args.alpha_filter
         ]
         rows = match_energies([bs.lam for bs in filtered], oracle)
@@ -263,21 +262,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(de_b3, precision=False)
     de_sh = de_sub.add_parser("shrink")
     de_sh.add_argument("--potential", required=True)
-    _add_flags(de_sh)
+    _add_flags(de_sh, precision=False)
     de_am = de_sub.add_parser("amplify")
     de_am.add_argument("--signs", required=True, help="comma-separated +/- pattern")
-    _add_flags(de_am)
+    _add_flags(de_am, precision=False)
     de_ex = de_sub.add_parser("extend")
     de_ex.add_argument("--potential", required=True)
     de_ex.add_argument("--b", type=int, required=True)
     de_ex.add_argument("--epsilon", type=float, default=None)
-    _add_flags(de_ex)
+    _add_flags(de_ex, precision=False)
     p_de.set_defaults(func=cmd_design)
 
     p_or = sub.add_parser("oracle", help="matrix-eigenvalue cross-check")
     p_or.add_argument("potential")
     p_or.add_argument("--size", type=int, default=800)
-    p_or.add_argument("--margin", type=float, default=1e-6)
     p_or.add_argument("--alpha-filter", type=float, default=0.95,
                       help="exclude bound roots with |alpha| at or above this from comparison")
     _add_flags(p_or)

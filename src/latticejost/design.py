@@ -5,20 +5,23 @@ potential until the small-coefficient no-bound-state certificate applies,
 amplifying a sign pattern until the unit-circle dominance certificate forces
 N = b, epsilon-extension of the support at fixed bound-state count, and the
 closed-form inverse problems for supports 2 and 3.
+
+The constructions return each potential with its polynomial, whose N is
+the pivots' count (:func:`_bound_state_count`): no root is found, so no
+precision applies, and ``analyze`` raises wherever its ledger differs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import NumericConfig, Potential
+from .core import Potential
 from .errors import FloatOverflowError, InconsistentRootsError, NoConvergenceError
 from .jost import JostPolynomial, _band_edges, _rouche_margin, _small_coefficients, jost_coefficients
-from .report import SpectralReport, _analyze, analyze
+from .spectrum import _bound_state_count
 
 __all__ = [
     "InverseB2Result",
@@ -98,26 +101,23 @@ def extend_with_epsilon(V: Potential, b: int, epsilon: float) -> Potential:
 
 
 def choose_epsilon(
-    V: Potential, b: int, cfg: NumericConfig, start: float = 0.1
-) -> tuple[float, SpectralReport]:
+    V: Potential, b: int, start: float = 0.1
+) -> tuple[float, Potential, JostPolynomial]:
     """Halve the tail value until the extension keeps the bound-state count.
 
-    Also requires f0(+-1) != 0 exactly, so that no zero sits on the band
-    edge (the genericity the continuity argument needs), decided on the
-    exact ints (:func:`_band_edges`) before the extension is analyzed.
-    Each extension's polynomial is built once, for both.  Returns the chosen
-    epsilon with the extension's report.
+    N is the pivots' count (:func:`_bound_state_count`), for V and for each
+    extension, so no root is found.  Also requires f0(+-1) != 0 exactly, so
+    that no zero sits on the band edge (the genericity the continuity
+    argument needs), decided on the exact ints (:func:`_band_edges`).
+    Returns the chosen epsilon with the extension and its polynomial.
     """
-    target_n = analyze(V, cfg).ledger.N
+    target_n = sum(_bound_state_count(jost_coefficients(V)))
     eps = start
     while eps > 1e-15:
-        t0 = time.perf_counter()
         extension = extend_with_epsilon(V, b, eps)
         p = jost_coefficients(extension)
-        if all(_band_edges(p)):
-            rep = _analyze(extension, p, cfg, t0)
-            if rep.ledger.N == target_n:
-                return eps, rep
+        if all(_band_edges(p)) and sum(_bound_state_count(p)) == target_n:
+            return eps, extension, p
         eps /= 2.0
     raise NoConvergenceError(
         f"no epsilon above the precision floor preserves N = {target_n}"

@@ -84,14 +84,15 @@ class JostPolynomial:
     them.  ``exact`` views them as ints when every V_n is an integer and as
     Fractions otherwise.  ``values`` is the potential V_1..V_b they were
     built from, which the root finder and the norming constants' recursion
-    need.
+    need.  Every field is required, as the root finder, the edge values and
+    the count read all of them: build one by :func:`jost_coefficients`.
     """
 
     coeffs: tuple[float, ...]
     b: int
-    ints: tuple[int, ...] = ()
-    shift: int = 0
-    values: tuple[float, ...] = ()
+    ints: tuple[int, ...]
+    shift: int
+    values: tuple[float, ...]
 
     @property
     def degree(self) -> int:

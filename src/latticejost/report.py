@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 
 from .core import NumericConfig, Potential
-from .jost import JostPolynomial, jost_coefficients
+from .jost import jost_coefficients
 from .laws import LawVerdicts, evaluate_laws
 from .spectrum import (
     BoundState,
@@ -90,13 +90,8 @@ class SpectralReport:
 def analyze(V: Potential, cfg: NumericConfig | None = None) -> SpectralReport:
     """validate -> coefficients -> roots -> classify -> norming -> laws."""
     t0 = time.perf_counter()
-    return _analyze(V, jost_coefficients(V), cfg or NumericConfig(), t0)
-
-
-def _analyze(
-    V: Potential, p: JostPolynomial, cfg: NumericConfig, t0: float
-) -> SpectralReport:
-    """The report of V from its already built polynomial p, timed from t0."""
+    cfg = cfg or NumericConfig()
+    p = jost_coefficients(V)
     roots = find_zeros(p, cfg)
     ledger = classify_zeros(roots, cfg, V.b)
     bound = tuple(norming_constants(ledger, p, cfg))

@@ -464,8 +464,7 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
     The roots come from the potential, never from the rounded coefficients:
     they are the eigenvalues of :func:`_linearization`, built from p.values,
     each polished by :func:`_jost_newton` on the Jost recursion
-    (:func:`_polish`).  So p must carry its potential values, as
-    :func:`jost_coefficients` builds it.  LAPACK's real nonsymmetric solver
+    (:func:`_polish`).  LAPACK's real nonsymmetric solver
     returns each nonreal pair as exact conjugates (x, +-y).
 
     The eigensolver loses the roots that lie far below the matrix's scale,
@@ -733,20 +732,18 @@ def norming_constants(
     -(1 - alpha)^2 / alpha, free of the cancellation near alpha = 1: by
     :func:`z_to_lambda` in double, and in an extended config at alpha
     polished to 40 digits by the extended scan's Newton
-    (:func:`_polish_fixed`), rounded once from its ints.  p must carry the
-    potential's values, as :func:`jost_coefficients` builds it.
+    (:func:`_polish_fixed`), rounded once from its ints.
 
     A bound state of multiplicity above 1 (two zeros on equal or adjacent
     doubles) raises FloatOverflowError naming that precision.
-    Then, for b >= 1, Z_01 and Z_m10 must equal the states of V and -V that
-    the pivots count at alpha = 1 (:func:`_edge_pivots`), or
-    CountMismatchError; an edge zero sets its side's last pivot to 0
-    exactly, so that pivot counts no state even if rounding puts it below.
+    Then Z_01 and Z_m10 must equal the pivots' count
+    (:func:`_bound_state_count`), or CountMismatchError.  A ledger and a p
+    of different supports raise ValueError.
     A c^2 outside double range raises FloatOverflowError naming that
     precision; a polish that fails raises NoConvergenceError.
     """
-    if len(p.values) != ledger.b:
-        raise ValueError("norming constants need the potential values in p.values")
+    if p.b != ledger.b:
+        raise ValueError(f"the ledger has support {ledger.b}, but p has support {p.b}")
     ext = cfg is not None and cfg.is_extended
     precision = "40-digit" if ext else "double"
     roots = ledger.bound_state_roots()
@@ -757,17 +754,12 @@ def norming_constants(
                 f"bound state k={k} at alpha={alpha!r} is a multiple zero: "
                 f"its norming constant leaves {precision} precision"
             )
-    if ledger.b:
-        counts = []
-        for sign, mu in ((1.0, ledger.mu_plus), (-1.0, ledger.mu_minus)):
-            count, last = _edge_pivots(p.values, sign)
-            counts.append(count - (last < 0 < mu))
-        n_pos, n_neg = counts
-        if (n_pos, n_neg) != (ledger.Z_01, ledger.Z_m10):
-            raise CountMismatchError(
-                f"the ledger holds {ledger.Z_01} bound states in (0, 1) and "
-                f"{ledger.Z_m10} in (-1, 0), but the pivots count {n_pos} and {n_neg}"
-            )
+    n_pos, n_neg = _bound_state_count(p)
+    if (n_pos, n_neg) != (ledger.Z_01, ledger.Z_m10):
+        raise CountMismatchError(
+            f"the ledger holds {ledger.Z_01} bound states in (0, 1) and "
+            f"{ledger.Z_m10} in (-1, 0), but the pivots count {n_pos} and {n_neg}"
+        )
     if ext:
         polished, F = _polish_fixed(p.values, alphas)
         lams = [-((a - (1 << F)) ** 2) / (a << F) for a in polished]
@@ -816,6 +808,23 @@ def _edge_pivots(values: Sequence[float], sign: float) -> tuple[int, float]:
         count += d < 0
         inv = 1.0 / d if d else math.copysign(math.inf, d)
     return count, d
+
+
+def _bound_state_count(p: JostPolynomial) -> tuple[int, int]:
+    """The bound states of p's potential in (0, 1) and in (-1, 0), with no root found.
+
+    The pivots of V and of -V count them at alpha = 1 (:func:`_edge_pivots`).
+    Where the exact f0(+-1) (:func:`_band_edges`) is 0, a zero sits on that
+    edge and sets the side's last pivot to 0, so that pivot counts no state
+    even if rounding puts it below.
+    """
+    if not p.b:
+        return 0, 0
+    counts = []
+    for sign, edge in zip((1.0, -1.0), _band_edges(p)):
+        count, last = _edge_pivots(p.values, sign)
+        counts.append(count - (last < 0 and not edge))
+    return tuple(counts)
 
 
 def _sturm_counts(values: np.ndarray, x: np.ndarray, sign: np.ndarray):
@@ -961,6 +970,22 @@ def _polish_fixed(values: Sequence[float], roots: Sequence[float]) -> tuple[list
     )
 
 
+def _newton_step(values: Sequence[float], roots: list[float]) -> list[float]:
+    """One Newton step on :func:`_jost_residual` from each ascending root in (-1, 1).
+
+    The pivots carry x + 1/x to one absolute ulp, and its slope 1 - 1/x^2
+    vanishes at +-1, so a counted root near the edge is off by many ulps;
+    the Jost recursion's inside chart has no such loss.  A step that is not
+    finite, leaves (-1, 1) or passes a neighbour is skipped.
+    """
+    out = []
+    for x, hi in zip(roots, [*roots[1:], 1.0]):
+        f, df = _jost_residual(values, x)
+        step = x - f / df if df else x
+        out.append(step if (out[-1] if out else -1.0) < step < hi else x)
+    return out
+
+
 def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     """The real zeros of f0 in (-1, 1): counted, then located.
 
@@ -994,6 +1019,7 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     within a few ulps of +-1 can fall outside: [1, 5e-324] has one state,
     within 1e-323 of -1, and the scan finds none.
 
+    Standard mode then takes one Newton step per root (:func:`_newton_step`).
     Extended mode polishes each root at 40 digits in fixed-point ints
     (:func:`_polish_fixed`, which raises NoConvergenceError when that
     fails).  Returns the roots in ascending order: floats, or in extended
@@ -1060,6 +1086,6 @@ def bound_state_scan(V: Potential, cfg: NumericConfig) -> list:
     t = np.where((e_lo >= 0) & (e_hi < 0) & (t <= 1), t, 0.5)
     roots = np.sort(sign * (lo + t * (hi - lo)))
     if not cfg.is_extended:
-        return roots.tolist()
+        return _newton_step(V.values, roots.tolist())
     polished, F = _polish_fixed(V.values, roots.tolist())
     return [Fraction(z, 1 << F) for z in polished]

@@ -379,8 +379,8 @@ def test_support_extension_preserves_count():
     failures = []
     V = validate_potential([2.0])
     for b in (2, 3, 5):
-        eps, rep = choose_epsilon(V, b, CFG)
-        ledger, p, _ = _ledger(list(rep.potential))
+        eps, extension, _ = choose_epsilon(V, b)
+        ledger, p, _ = _ledger(list(extension.values))
         if ledger.N != 1:
             failures.append(f"b={b}: N={ledger.N}")
         edge = min(abs(jost_eval(p, 1.0)), abs(jost_eval(p, -1.0)))

@@ -10,6 +10,7 @@ import latticejost
 from latticejost import cli
 from latticejost.cli import EXIT_INPUT, EXIT_OK, EXIT_PIPE, EXIT_VERDICT, main
 from latticejost.jost import jost_coefficients
+from latticejost.spectrum import find_zeros
 
 
 def run(capsys, *argv):
@@ -144,10 +145,10 @@ class TestAnalyze:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "[2]"],
-        ["sweep", "--bmax", "6"],
+        ["analyze", "[2]", "--precision", "ext"],
+        ["sweep", "--bmax", "6", "--precision", "ext"],
         ["design", "amplify", "--signs", "+,-"],
-        ["oracle", "[2]"],
+        ["oracle", "[2]", "--precision", "ext"],
     ],
     ids=["analyze", "sweep", "design", "oracle"],
 )
@@ -155,7 +156,7 @@ def test_rejected_tolerance_is_input_error(capsys, argv):
     # no command takes a tolerance: the theorem keeps the bound states apart
     for flag in ("--tol-real", "--tol-cluster", "--tol-edge"):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--precision", "ext", flag, "1e-10"])
+            main([*argv, flag, "1e-10"])
         assert exc.value.code == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -164,6 +165,7 @@ def test_rejected_tolerance_is_input_error(capsys, argv):
 
 _NUMERIC_FLAGS = {
     "--tol-real": "1e-9", "--tol-cluster": "1e-6", "--tol-edge": "1e-7", "--precision": "ext",
+    "--margin": "1e-6",
 }
 _COMMANDS = {
     "analyze": ["analyze", "[2]"],
@@ -175,9 +177,10 @@ _COMMANDS = {
     "extend": ["design", "extend", "--potential", "[2]", "--b", "2"],
     "oracle": ["oracle", "[2]"],
 }
-# the numeric flags each command reads; b2 and b3 read none, and none
-# reads a --tol-* flag
-_READS = {"b2": [], "b3": []}
+# the numeric flags each command reads; no design mode reads one (shrink,
+# amplify and extend count N by the pivots), and none reads a --tol-* flag
+# or --margin
+_READS = {"b2": [], "b3": [], "shrink": [], "amplify": [], "extend": []}
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
@@ -362,8 +365,8 @@ class TestDesign:
         assert doc["N"] == 2
 
     def test_amplify_builds_two_polynomials(self, capsys, count_calls):
-        # the two amplitudes tried by the search; the report and its margin
-        # reuse the last, and the sign-flip verdict builds only -V's ints
+        # the two amplitudes tried by the search; the count and the margin
+        # reuse the last
         built = count_calls(jost_coefficients)
         code, out, _ = run(capsys, "design", "amplify", "--signs", "+,-,+")
         assert code == EXIT_OK
@@ -394,8 +397,26 @@ class TestDesign:
         assert doc["N"] == 1
         assert len(doc["potential"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["shrink", "--potential", "[2,-3]"], 0),
+            (["amplify", "--signs", "+,-,+"], 3),
+            (["extend", "--potential", "[2,-2,2]", "--b", "12"], 3),
+            (["extend", "--potential", "[2]", "--b", "3", "--epsilon", "0.01"], 1),
+        ],
+        ids=["shrink", "amplify", "extend", "extend-epsilon"],
+    )
+    def test_design_finds_no_roots(self, capsys, count_calls, argv, n):
+        # N is the pivots' count on the built polynomial
+        solved = count_calls(find_zeros)
+        code, out, _ = run(capsys, "design", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["N"] == n
+        assert solved == []
+
     def test_extend_builds_two_polynomials(self, capsys, count_calls):
-        # the given potential's, then the chosen extension's, whose report
+        # the given potential's, then the chosen extension's, whose count
         # the command prints
         built = count_calls(jost_coefficients)
         code, out, _ = run(capsys, "design", "extend", "--potential", "[2]", "--b", "3")
@@ -418,20 +439,25 @@ class TestOracle:
         assert code == EXIT_INPUT
 
     @pytest.mark.parametrize(
-        "flag",
+        "flag, message",
         [
-            ["--size", "1"],
-            ["--margin", "0"],
-            ["--alpha-filter", "nan"],
-            ["--alpha-filter", "0"],
+            (["--size", "1"], "input error:"),
+            # the library default is the only band margin: argparse rejects one
+            (["--margin", "1e-6"], "usage: latticejost"),
+            (["--alpha-filter", "nan"], "input error:"),
+            (["--alpha-filter", "0"], "input error:"),
         ],
         ids=["size", "margin", "alpha-filter-nan", "alpha-filter-0"],
     )
-    def test_bad_flag_is_input_error(self, capsys, flag):
-        code, out, err = run(capsys, "oracle", "[2]", *flag)
+    def test_bad_flag_is_input_error(self, capsys, flag, message):
+        try:
+            code = main(["oracle", "[2]", *flag])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
         assert code == EXIT_INPUT
-        assert out == ""
-        assert err.startswith("input error:")
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ from latticejost.design import (
 )
 from latticejost.errors import InconsistentRootsError
 from latticejost.jost import _band_edges, jost_coefficients, rouche_margin
-from latticejost.spectrum import classify_zeros, find_zeros
+from latticejost.report import analyze
+from latticejost.spectrum import _bound_state_count, classify_zeros, find_zeros
 
 CFG = NumericConfig()
 
@@ -92,11 +93,11 @@ class TestExtend:
     def test_choose_epsilon_preserves_count(self):
         V = validate_potential([2.0])
         n0 = classified_n(V)
-        eps, rep = choose_epsilon(V, 4, CFG)
+        eps, extension, p = choose_epsilon(V, 4)
         assert eps > 0
-        assert rep.potential == (2.0, eps, eps, eps)
-        assert rep.ledger.N == n0
-        assert classified_n(validate_potential(rep.potential)) == n0
+        assert extension.values == (2.0, eps, eps, eps)
+        assert p == jost_coefficients(extension)
+        assert classified_n(extension) == n0
 
     def test_band_edge_values_are_exact_at_b110(self):
         # float Horner on the rounded coefficients gives |f0(-1)| = 0.1791 here
@@ -107,6 +108,50 @@ class TestExtend:
         assert Fraction(f_plus, 1 << shift) == sum(exact)
         assert Fraction(f_minus, 1 << shift) == sum(c if j % 2 == 0 else -c for j, c in enumerate(exact))
         assert f_minus / (1 << shift) == pytest.approx(0.19955432359417, rel=1e-12)
+
+
+class TestCountedN:
+    """The design tools' N is the pivots' count, which analyze's ledger meets."""
+
+    @staticmethod
+    def counted_n(pot, p):
+        n = sum(_bound_state_count(p))
+        assert n == analyze(pot, CFG).ledger.N, pot.values
+        return n
+
+    def test_shrink_panel(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            values = [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, 8))]
+            _, scaled, p = shrink_to_no_bound(validate_potential(values))
+            assert self.counted_n(scaled, p) == 0
+
+    def test_every_amplify_pattern(self):
+        for b in range(1, 7):
+            for mask in range(2**b):
+                signs = [1 if mask >> j & 1 else -1 for j in range(b)]
+                _, pot, p = amplify_to_full_bound(signs)
+                assert self.counted_n(pot, p) == b
+
+    def test_choose_epsilon_panel(self):
+        rng = random.Random(43)
+        cases = []
+        for _ in range(40):
+            k = rng.randint(1, 6)
+            cases.append(([rng.uniform(-3.0, 3.0) for _ in range(k)], k + rng.randint(1, 12)))
+        cases += [([2.0, -2.0, 2.0, -2.0, 2.0], 40), ([2.0, -2.0, 2.0, -2.0, 2.0], 110)]
+        for values, b in cases:
+            V = validate_potential(values)
+            eps, extension, p = choose_epsilon(V, b)
+            assert extension == extend_with_epsilon(V, b, eps)
+            assert self.counted_n(extension, p) == analyze(V, CFG).ledger.N
+
+    def test_no_root_is_found(self, count_calls):
+        solved = count_calls(find_zeros)
+        shrink_to_no_bound(validate_potential([2.0, -3.0]))
+        amplify_to_full_bound([1, -1, 1])
+        choose_epsilon(validate_potential([2.0, -2.0, 2.0]), 12)
+        assert solved == []
 
 
 class TestInverseB2:

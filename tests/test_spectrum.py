@@ -599,10 +599,14 @@ class TestNormingConstants:
             norming_constants(ledger, p, cfg)
 
     def test_needs_potential_values(self):
+        # every field is required, so p always carries its potential values
         ledger, p = ledger_for(EX42_POTENTIAL)
-        bare = JostPolynomial(coeffs=p.coeffs, b=p.b)
-        with pytest.raises(ValueError, match="p.values"):
-            norming_constants(ledger, bare)
+        with pytest.raises(TypeError):
+            JostPolynomial(coeffs=p.coeffs, b=p.b, values=p.values)
+        # a ledger and a polynomial of different supports are a typed error
+        other = jost_coefficients(validate_potential([*EX42_POTENTIAL, 1.0]))
+        with pytest.raises(ValueError, match="support"):
+            norming_constants(ledger, other)
 
     @pytest.mark.parametrize(
         "values, cfg",
@@ -1026,11 +1030,8 @@ class TestBoundStateScan:
         assert all(args[3] for args in calls)
 
     def test_std_roots_no_farther_from_the_polished_ones(self):
-        # each bracket still ends on a transition of the double count, which
-        # near alpha = +-1 resolves alpha only to tens of ulps, so a single
-        # root can move either way; over the panel, the largest and the total
-        # distance to the 40-digit roots stay within what multisection alone
-        # reached here, 63 and 534 ulps
+        # over the panel, the largest and the total distance to the 40-digit
+        # roots stay within what multisection alone reached, 63 and 534 ulps
         rng = np.random.default_rng(17)
         inputs = [alternating_potential(b, 2.0) for b in (40, 80, 110)]
         inputs.append(validate_potential(CLOSE_PAIR))
@@ -1047,6 +1048,26 @@ class TestBoundStateScan:
             ulps += [abs(a - z) / math.ulp(z) for a, z in zip(std, ext)]
         assert max(ulps) <= 63
         assert sum(ulps) <= 534
+
+    def test_std_newton_step_near_the_edge(self):
+        # the double count resolves a root near alpha = +-1 only to tens of
+        # ulps (35 / 53 / 29 here); one Newton step on the Jost recursion
+        # brings each to within a few ulps of the 40-digit root
+        for b in (40, 80, 110):
+            V = alternating_potential(b, 2.0)
+            std = bound_state_scan(V, CFG)
+            ext = [float(z) for z in bound_state_scan(V, NumericConfig.extended())]
+            assert len(std) == len(ext) == b
+            assert max(abs(a - z) / math.ulp(z) for a, z in zip(std, ext)) <= 16, b
+
+    def test_newton_step_stays_inside_and_in_order(self, monkeypatch):
+        # residual / slope is the step: -0.5 would leave (-1, 1), 0.25 would
+        # pass its neighbour 0.5, and a zero slope takes no step
+        import latticejost.spectrum as spectrum
+
+        residual = {-0.5: (0.75, 1.0), 0.25: (-0.5, 1.0), 0.5: (0.125, 1.0), 0.75: (1.0, 0.0)}
+        monkeypatch.setattr(spectrum, "_jost_residual", lambda values, x: residual[x])
+        assert spectrum._newton_step((), [-0.5, 0.25, 0.5, 0.75]) == [-0.5, 0.25, 0.375, 0.75]
 
     def test_extended_fallback_to_full_newton(self, monkeypatch):
         # a root that misses the simplified-Newton stopping rule within the
