@@ -3,24 +3,26 @@
 Roots are found from the potential itself: the eigenvalues of one
 (2b - 1)-square linearization of the quadratic eigenproblem behind f0, each
 polished by Newton steps on the Jost recursion in the chart (z inside the
-unit circle, 1/z outside) where that recursion is stable.  The roots with
-|z| >= 1 are merged into multiplicity clusters by a sweep over their real
-parts; those inside are bound states, real and simple, and stay apart.  All
-are binned by the interval scheme: bound states in (-1,0) and (0,1), real
-resonances beyond +-1, exceptional zeros at +-1, and complex pairs outside
-the unit circle.
+unit circle, 1/z outside) where that recursion is stable.  A step below
+1e-9 of the chart variable is taken without evaluating the recursion again,
+so an eigenvalue seed costs one evaluation.  The roots with |z| >= 1 are
+merged into multiplicity clusters by a sweep over their real parts; those
+inside are bound states, real and simple, and stay apart.  All are binned by
+the interval scheme: bound states in (-1,0) and (0,1), real resonances
+beyond +-1, exceptional zeros at +-1, and complex pairs outside the unit
+circle.
 
 In extended precision :func:`find_zeros` refines the roots from the exact
 coefficients by Aberth steps in the fixed-point kernel :func:`_horner_fixed`:
 exact Python ints scaled by 2^F with F = ceil(dps log2 10) + 40 bits for a
-dps-digit refinement (more for roots tinier than 2^-40 or a leading
-coefficient below 1/2).  Only a seed that repeats another is sheared, and
-each correction is judged against its root's modulus, so the double roots
-reach the stop in two exact passes.  The norming constants are the Jost
-solution's norm, one O(b) recursion in double arithmetic in either
-precision.  The exact f0(+-1) on the ints gives the edge zeros, and every
-ledger's bound states are checked against the pivots' count at alpha = 1,
-one scalar loop for V and one for -V.
+dps-digit refinement (more for roots tinier than 2^-40, a leading
+coefficient below 1/2 or any coefficient above 1).  Only a seed that
+repeats another is sheared, and each correction is judged against its
+root's modulus, so the double roots reach the stop in two exact passes.
+The norming constants are the Jost solution's norm, one O(b) recursion in
+double arithmetic in either precision.  The exact f0(+-1) on the ints gives
+the edge zeros, and every ledger's bound states are checked against the
+pivots' count at alpha = 1, one scalar loop for V and one for -V.
 
 The large-support scan counts the bound states by the operator's pivots and
 narrows brackets on that count, so it needs no coefficients: coincident
@@ -134,9 +136,18 @@ def _fixed_scales(
     inside and outside the unit circle alike.  The lift is the bit length
     of the leading coefficient's denominator minus its numerator's, in
     lowest terms: shift + 1 minus the leading int's bit length.
+
+    The largest coefficient sets C as well, by the bits it has above 1.
+    Near |z| = 1 the terms of p can be as large as that coefficient and
+    cancel to p's far smaller value; the alternating potential of amplitude
+    20 at b = 40 has coefficients near 20^40 that do.  Without those bits
+    the cancellation eats the dps digits, and the Aberth steps never reach
+    their stop.  As every coefficient is a double, they add at most about
+    1024 bits.
     """
     F = _fixed_bits(roots, dps)
-    return F, F + max(0, shift + 1 - abs(ints[-1]).bit_length())
+    lift = max(0, shift + 1 - ints[-1].bit_length())
+    return F, F + lift + max(0, max(c.bit_length() for c in ints) - shift)
 
 
 def _fixed(c: float, F: int) -> int:
@@ -310,17 +321,20 @@ def _jost_residual(values: Sequence[float], z: complex) -> tuple[complex, comple
 def _jost_newton(values: Sequence[float], z: complex, steps: int = 12) -> tuple[complex, bool]:
     """Newton on :func:`_jost_residual` from z, in the chart of each iterate.
 
-    A step is kept only if it leaves z finite and lowers |residual|; the
-    residual is continuous across |z| = 1, so a root may change chart.  The
-    polish stops at its first rejected step or after a kept step below 1e-9
-    of the chart variable, as a simple root's quadratic convergence then
-    leaves an error below rounding.  Returns the root and whether it has
-    converged: whether its last Newton correction is below 1e-6 of the
-    chart variable, which a double root's noise-limited polish also meets.
+    A step below 1e-9 of the chart variable is the last: a simple root's
+    quadratic convergence leaves an error below rounding after it, so it is
+    taken, if it leaves z finite, without evaluating the residual again, and
+    the root has converged.  Any larger step is kept only if it leaves z
+    finite and lowers |residual|; the residual is continuous across
+    |z| = 1, so a root may change chart.  The polish also stops at its first
+    rejected step.  So a root seeded to better than 1e-9 costs one residual
+    evaluation.  Returns the root and whether it has converged: whether its
+    last Newton correction is below 1e-6 of the chart variable, which a
+    double root's noise-limited polish also meets.
     """
     F, dF = _jost_residual(values, z)
     for _ in range(steps):
-        if not dF:
+        if not (F and dF):
             break
         inside = _inside(z)
         s = z if inside else 1.0 / z
@@ -332,12 +346,12 @@ def _jost_newton(values: Sequence[float], z: complex, steps: int = 12) -> tuple[
             cand = 1.0 / cand
         if not cmath.isfinite(cand):
             break
+        if _mag(step) <= 1e-9 * _mag(s):
+            return cand, True
         Fc, dFc = _jost_residual(values, cand)
         if not _mag(Fc) < _mag(F):
             break
         z, F, dF = cand, Fc, dFc
-        if _mag(step) <= 1e-9 * _mag(s):
-            break
     s = z if _inside(z) else 1.0 / z
     return z, not F or (dF != 0 and _mag(F / dF) <= 1e-6 * _mag(s))
 
@@ -501,7 +515,8 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
         raw = np.sort(np.linalg.eigvals(_linearization(values)))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"the eigensolver failed: {exc}") from exc
-    polished, converged = _polish(values, list(map(complex, raw)), cfg.tau_real)
+    tau_real = cfg.tau_real
+    polished, converged = _polish(values, list(map(complex, raw)), tau_real)
     if not converged or _coincide(polished):
         try:
             roots = _jost_aberth(values, _hull_seeds(p.ints))
@@ -510,15 +525,13 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
                 "a root of the Jost polynomial leaves double range"
             ) from exc
         seeds = [complex(z.real) if abs(z.imag) <= 1e-8 * _mag(z) else z for z in roots]
-        polished, converged = _polish(values, seeds, cfg.tau_real)
+        polished, converged = _polish(values, seeds, tau_real)
         if not converged:
             raise NoConvergenceError("the roots of the Jost polynomial have not converged")
 
     if cfg.is_extended:
         polished = [complex(z) for z in _aberth(p.ints, p.shift, polished)]
-        polished = [
-            complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in polished
-        ]
+        polished = [complex(z.real) if abs(z.imag) < tau_real else z for z in polished]
 
     out = []
     for x, f in zip((1.0, -1.0), _band_edges(p)):
@@ -526,9 +539,12 @@ def find_zeros(p: JostPolynomial, cfg: NumericConfig) -> list[tuple[complex, int
             real = [z for z in polished if not z.imag]
             polished.remove(min(real, key=lambda z: abs(z.real - x)))
             out.append((complex(x), 1))
-    disk = [(z, 1) for z in polished if _mag(z) < 1.0]  # simple zeros, never merged
-    for z, m in disk + _cluster([z for z in polished if _mag(z) >= 1.0], cfg.tau_cluster):
-        if abs(z.imag) < cfg.tau_real:
+    disk, outer = [], []
+    for z in polished:
+        (disk if _mag(z) < 1.0 else outer).append(z)
+    # the disk's zeros are simple and never merged
+    for z, m in [(z, 1) for z in disk] + _cluster(outer, cfg.tau_cluster):
+        if abs(z.imag) < tau_real:
             z = complex(z.real)
         if z in (1.0, -1.0):
             z = _beyond_edge(p, z.real)

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from latticejost.spectrum import (
     _g0_fixed,
     _horner_fixed,
     _jost_aberth,
+    _jost_residual,
     _linearization,
     _norm_c2,
     _sturm_counts,
@@ -138,6 +141,9 @@ def _polyroots_reference(p, cfg):
     return [complex(z.real) if abs(z.imag) < cfg.tau_real else z for z in roots]
 
 
+GOLDEN_INPUTS = json.loads(
+    (Path(__file__).parent / "data" / "golden" / "inputs.json").read_text()
+)
 _REFERENCE_RNG = np.random.default_rng(20)
 REFERENCE_POTENTIALS = [
     *(
@@ -150,6 +156,12 @@ REFERENCE_POTENTIALS = [
     # roots above 1e30: the coefficients' fixed-point scale adapts
     pytest.param([2.0, 1e-60], id="tail-1e-60"),
     pytest.param([0.5, 1e-100], id="tail-1e-100"),
+    # golden inputs with a std bound state that the polish's last Newton
+    # step, taken without a second residual, decides to the ulp
+    *(
+        pytest.param(GOLDEN_INPUTS[name], id=f"golden-{name}")
+        for name in ("rand-b12", "rand-b20", "mixed-exp")
+    ),
 ]
 
 
@@ -174,6 +186,33 @@ def test_std_roots_match_independent_reference(values):
     # the double roots come from V, not from the rounded coefficients, so
     # they hold the extended tolerance too
     _assert_roots_match_reference(values, CFG)
+
+
+@pytest.mark.parametrize(
+    "name, before",
+    [
+        ("rand-b12", -0.4733656053941253),
+        ("rand-b20", 0.31435412768164517),
+        ("mixed-exp", -0.3347088256859473),
+    ],
+)
+def test_std_polish_moves_no_state_away_from_reference(name, before):
+    # before is the state as the polish gave it when it evaluated the
+    # residual after its last step and kept the seed where that residual did
+    # not drop; the reference is Newton on f0 at 80 digits
+    from mpmath import mp, mpf
+
+    values = GOLDEN_INPUTS[name]
+    p = jost_coefficients(validate_potential(values))
+    alpha = min((z.real for z, m in find_zeros(p, CFG) if abs(z) < 1.0),
+                key=lambda x: abs(x - before))
+    assert alpha != before
+    with mp.workdps(80):
+        ref, vals = mpf(alpha), [mpf(v) for v in values]
+        for _ in range(8):
+            f, d = f0_pair(vals, ref)
+            ref -= f / d
+        assert abs(alpha - ref) <= abs(before - ref)
 
 
 def test_extended_root_far_inside_unit_circle():
@@ -326,6 +365,33 @@ def test_aberth_takes_two_passes_from_double_roots(b, count_calls):
         calls.clear()
         find_zeros(p, NumericConfig.extended())
         assert len(calls) == 2 * (2 * b - 1)
+
+
+@pytest.mark.parametrize("amplitude", [5.0, 10.0, 20.0])
+def test_extended_alternating_coefficients_keep_their_digits(amplitude):
+    # the coefficients reach about amplitude^40 and cancel near |z| = 1;
+    # with fixed-point bits for the leading coefficient alone the Aberth
+    # refinement ran to its pass cap and raised NoConvergenceError
+    report = analyze(alternating_potential(40, amplitude), NumericConfig.extended())
+    assert report.ledger.N == 40
+    assert report.verdicts.all_theorems_hold
+
+
+@pytest.mark.parametrize("b", [4, 12, 20])
+def test_std_polish_evaluates_each_seed_once(b, count_calls):
+    # an eigenvalue seed is accurate to far better than the 1e-9 stop, so
+    # its first Newton step is its last and is taken without a second
+    # residual; the seeds are the real eigenvalues and those with Im > 0
+    rng = np.random.default_rng(30)
+    calls = count_calls(_jost_residual)
+    for _ in range(3):
+        values = rng.uniform(-3, 3, b).tolist()
+        p = jost_coefficients(validate_potential(values))
+        raw = np.linalg.eigvals(_linearization(values))
+        seeds = sum(abs(z.imag) < CFG.tau_real or z.imag > 0 for z in raw)
+        calls.clear()
+        find_zeros(p, CFG)
+        assert len(calls) == seeds
 
 
 def _conjugate_closed(roots) -> bool:
