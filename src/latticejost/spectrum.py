@@ -19,6 +19,10 @@ dps-digit refinement (more for roots tinier than 2^-40, a leading
 coefficient below 1/2 or any coefficient above 1).  Only a seed that
 repeats another is sheared, and each correction is judged against its
 root's modulus, so the double roots reach the stop in two exact passes.
+The Aberth repulsion sums alone are formed in double, from double-double
+differences and, for pairs closer than those resolve, from the exact ints
+(:func:`_repulsion`): the correction takes them times the Newton ratio, so
+their error enters it at second order, and the stop test stays exact.
 The norming constants are the Jost solution's norm, one O(b) recursion in
 double arithmetic in either precision.  The exact f0(+-1) on the ints gives
 the edge zeros, and every ledger's bound states are checked against the
@@ -152,8 +156,17 @@ def _fixed_scales(
 
 def _fixed(c: float, F: int) -> int:
     """round(c * 2^F) for a float c."""
-    n, d = c.as_integer_ratio()
-    return ((n << (F + 1)) // d + 1) >> 1
+    n, d = c.as_integer_ratio()  # d is a power of two
+    return ((n << (F + 1) >> d.bit_length() - 1) + 1) >> 1
+
+
+def _split(x: int, F: int) -> tuple[float, float]:
+    """x / 2^F as a double-double hi + lo: hi holds x's top 53 bits, lo the rest rounded."""
+    e = x.bit_length() - 53
+    if e <= 0:
+        return x / (1 << F), 0.0
+    h = x >> e
+    return math.ldexp(h, e - F), (x - (h << e)) / (1 << F)
 
 
 def _fixed_div(ar: int, ai: int, br: int, bi: int, F: int) -> tuple[int, int]:
@@ -181,6 +194,42 @@ def _horner_fixed(desc: Sequence[int], zr: int, zi: int, F: int) -> tuple[int, i
     return pr, pi, dr, di
 
 
+def _repulsion(roots: Sequence[tuple[int, int]], F: int) -> list[tuple[int, int]]:
+    """sum_j 1/(z_k - z_j) over j != k for each root z_k, as ints at scale 2^F.
+
+    The roots are fixed-point complex ints at scale 2^F, and the sums are
+    formed in complex double.  Each root splits once into a double-double
+    hi + lo (:func:`_split`), whose parts hold it to about 2^-104 of its
+    modulus, and each difference is (hi_k - hi_j) + (lo_k - lo_j).  That
+    errs by a few units of 2^-53 relative to itself unless z_j lies within
+    2^-48 |z_k| of z_k, where the parts' error would show, as for roots that
+    double precision does not resolve: those pairs take the difference of
+    the exact ints, rounded once.  Each sum is rounded to scale 2^F once.
+    Equal iterates raise NoConvergenceError, and a sum beyond double range
+    FloatOverflowError.
+    """
+    flat: list[float] = []
+    for zr, zi in roots:
+        (hr, lr), (hi, li) = _split(zr, F), _split(zi, F)
+        flat += hr, hi, lr, li
+    hi, lo = np.array(flat).view(complex).reshape(-1, 2).T
+    d = (hi[:, None] - hi) + (lo[:, None] - lo)
+    np.fill_diagonal(d, np.inf)  # 1 / inf = 0: no self term
+    near = np.abs(d) <= (2.0**-48 * np.abs(hi))[:, None]
+    if near.any():
+        one = 1 << F
+        for k, j in zip(*np.nonzero(near)):
+            er, ei = roots[k][0] - roots[j][0], roots[k][1] - roots[j][1]
+            if not (er or ei):
+                raise NoConvergenceError("two Aberth iterates have met")
+            d[k, j] = complex(er / one, ei / one)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = (1.0 / d).sum(axis=1)
+    if not np.isfinite(s).all():
+        raise FloatOverflowError("an Aberth repulsion sum leaves double range")
+    return [(_fixed(c.real, F), _fixed(c.imag, F)) for c in s.tolist()]
+
+
 def _aberth(
     ints: Sequence[int], shift: int, seeds: list[complex], dps: int = 50, maxit: int = 120
 ):
@@ -202,6 +251,15 @@ def _aberth(
     that lie elsewhere: Aberth steps widen a cluster by about a constant
     factor a pass, so a shear below 10^-14 would cost those passes.  The
     roots come back as correctly rounded complex values.
+
+    The correction is N / (1 - N S), with the Newton ratio N = p / p' and
+    S = sum_j 1 / (z_k - z_j).  Only S is formed in double, by
+    :func:`_repulsion` (Bini, Numer. Algorithms 13, 1996): N is about 1e-16
+    of |z| from double seeds, so S's relative error of a few 2^-53 moves the
+    correction by N^2 S times that error, at second order in N.  p, p', N,
+    1 - N S, the correction and the stop test stay in exact ints, so each
+    pass still measures how far its roots moved, and double-accurate seeds
+    take the same two passes.
     """
     F, C = _fixed_scales(ints, shift, seeds, dps)
     up = C + 1 - shift  # round(c 2^(C - shift)): floor at one more bit, then halve
@@ -211,34 +269,20 @@ def _aberth(
         seen[z] = m = seen.get(z, -1) + 1  # earlier seeds equal to z
         shear = _fixed(m * 1e-14 * max(1.0, _mag(z)), F)
         roots.append((_fixed(z.real, F) + shear, _fixed(z.imag, F) + shear))
-    n = len(roots)
     one = 1 << F
     tol_scale = 10 ** (2 * (dps - 8))  # |corr| < 10^-(dps-8) |z|, squared
     for _ in range(maxit):
-        # sum_j 1/(z_k - z_j), one reciprocal per pair of roots
-        sr, si = [0] * n, [0] * n
-        for k, (zkr, zki) in enumerate(roots):
-            for j in range(k + 1, n):
-                er, ei = zkr - roots[j][0], zki - roots[j][1]
-                if not (er or ei):
-                    raise NoConvergenceError("two Aberth iterates have met")
-                q = (1 << 3 * F) // (er * er + ei * ei)  # 2^F / |e|^2
-                ir, ii = (er * q) >> F, -((ei * q) >> F)
-                sr[k] += ir
-                si[k] += ii
-                sr[j] -= ir
-                si[j] -= ii
         converged = True
         new = []
-        for k, (zkr, zki) in enumerate(roots):
+        for (zkr, zki), (sr, si) in zip(roots, _repulsion(roots, F)):
             pr, pi, dr, di = _horner_fixed(desc, zkr, zki, F)
             if dr == 0 and di == 0:
                 new.append((zkr, zki))
                 continue
             rr, ri = _fixed_div(pr, pi, dr, di, F)
             # denom = 1 - ratio * ssum
-            er = one - ((rr * sr[k] - ri * si[k]) >> F)
-            ei = -((rr * si[k] + ri * sr[k]) >> F)
+            er = one - ((rr * sr - ri * si) >> F)
+            ei = -((rr * si + ri * sr) >> F)
             cr, ci = (rr, ri) if er == 0 and ei == 0 else _fixed_div(rr, ri, er, ei, F)
             zr, zi = zkr - cr, zki - ci
             converged &= (cr * cr + ci * ci) * tol_scale < zr * zr + zi * zi

@@ -13,6 +13,7 @@ from latticejost.core import NumericConfig, validate_potential
 from latticejost.errors import (
     CountMismatchError,
     FloatOverflowError,
+    LatticeJostError,
     NoConvergenceError,
     UnitCircleViolationError,
 )
@@ -28,12 +29,14 @@ from latticejost.spectrum import (
     _aberth,
     _cluster,
     _edge_pivots,
+    _fixed,
     _g0_fixed,
     _horner_fixed,
     _jost_aberth,
     _jost_residual,
     _linearization,
     _norm_c2,
+    _repulsion,
     _sturm_counts,
     bound_state_scan,
     classify_zeros,
@@ -365,6 +368,109 @@ def test_aberth_takes_two_passes_from_double_roots(b, count_calls):
         calls.clear()
         find_zeros(p, NumericConfig.extended())
         assert len(calls) == 2 * (2 * b - 1)
+
+
+def _repulsion_panel(rng, F, scale, close):
+    """Fixed-point roots at scale 2^F of modulus about scale: loose ones and,
+    when close is set, pairs 1e-14 of their modulus apart in both parts, as
+    :func:`_aberth` shears a repeated seed, and pairs 2^-80 or 2^-120 of it
+    apart.  Like Aberth iterates, the ints carry random bits below their
+    top 53."""
+
+    def full(c):
+        x = _fixed(c, F)
+        return x + rng.getrandbits(max(x.bit_length() - 53, 1)) if x else 0
+
+    roots = []
+    for _ in range(rng.randrange(1, 7)):
+        z = complex(rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-3, 3)])) * scale
+        zr, zi = full(z.real), full(z.imag)
+        roots.append((zr, zi))
+        kind = rng.randrange(3) if close else 0
+        if kind == 1:
+            shear = _fixed(1e-14 * abs(z), F)
+            roots.append((zr + shear, zi + shear))
+        elif kind == 2:
+            roots.append((zr + (max(abs(zr), abs(zi)) >> rng.choice((80, 120))), zi))
+    rng.shuffle(roots)
+    return roots
+
+
+@pytest.mark.parametrize(
+    "scale, F, close",
+    [(1.0, 207, True), (1e6, 207, True), (1e-30, 347, True), (2.0**-1000, 1207, False)],
+    ids=["unit", "1e6", "1e-30", "subnormal-parts"],
+)
+def test_repulsion_matches_the_exact_sum(scale, F, close):
+    # each S_k is within 4 n 2^-53 sum_j |1 / (z_k - z_j)| of the exact
+    # Fraction sum, plus the final rounding to scale 2^F; pairs 2^-80 and
+    # 2^-120 apart are closer than a double-double difference resolves, and at
+    # modulus 2^-1000 the low parts are subnormal
+    rng = random.Random(31)
+    for _ in range(60):
+        roots = _repulsion_panel(rng, F, scale, close)
+        n = len(roots)
+        for (gr, gi), (ar, ai) in zip(_repulsion(roots, F), roots):
+            # in units of 2^-F: sr + i si = 2^F S_k and bound = 2^F sum |1 / d|
+            sr = si = bound = Fraction(0)
+            for br, bi in roots:
+                er, ei = ar - br, ai - bi
+                if er or ei:
+                    n2 = er * er + ei * ei  # 1 / ((er + i ei) / 2^F) = 2^F (er - i ei) / n2
+                    sr += Fraction(er << 2 * F, n2)
+                    si -= Fraction(ei << 2 * F, n2)
+                    bound += Fraction(1 << 2 * F, math.isqrt(n2))
+            err2 = (gr - sr) ** 2 + (gi - si) ** 2
+            assert err2 <= (Fraction(4 * n, 1 << 53) * bound + 1) ** 2, roots
+
+
+def test_repulsion_raises_on_met_or_unbounded_iterates():
+    roots = [(3 << 200, 1 << 200), (1 << 207, 0), (3 << 200, 1 << 200)]
+    with pytest.raises(NoConvergenceError, match="met"):
+        _repulsion(roots, 207)
+    # one unit of 2^-1207 apart: 1 / (z_1 - z_2) is far beyond double range
+    with pytest.raises(FloatOverflowError, match="double range"):
+        _repulsion([(1 << 207, 0), ((1 << 207) + 1, 0)], 1207)
+
+
+def test_extended_refinement_passes_are_pinned(count_calls):
+    # 1324 exact Horner passes with the repulsion sums in exact ints; a sum
+    # in double whose error ever costs an Aberth pass fails here
+    rng = np.random.default_rng(31)
+    calls = count_calls(_horner_fixed)
+    for _ in range(30):
+        b = int(rng.integers(4, 21))
+        analyze(validate_potential(rng.uniform(-3, 3, b).tolist()), NumericConfig.extended())
+    assert len(calls) == 1324
+
+
+# extreme inputs, the b=4 input on which the eigensolver loses a bound state
+# (ROADMAP item 12), then 200 random signs and magnitudes 10^(+-30) at b <= 6
+WIDE_RANGE = [
+    [1e100], [1e300], [2, 1e-80], [0.5, 1e-100], [1e100, 1e-100], [1e-300],
+    [1, -2, 1e-70], [5e-324], [1e40, 1e40], [1e20, -1e20, 1e20],
+    [34.16256812614351, -3.5333781361594646e+34, 5.478346654604374e+98,
+     -2.4467925248407122e+67],
+]
+
+
+def test_extended_wide_range_answers_or_is_typed():
+    rng = random.Random(11)
+    panel = WIDE_RANGE + [
+        [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30, 30) for _ in range(rng.randint(1, 6))]
+        for _ in range(200)
+    ]
+    answered = 0
+    for values in panel:
+        try:
+            report = analyze(validate_potential(values), NumericConfig.extended())
+        except LatticeJostError:
+            continue
+        assert report.verdicts.all_theorems_hold, values
+        answered += 1
+    # [1e300] (c^2 = 1e600), [5e-324] (V_b), the two multiple zeros and the
+    # item-12 input raise; every random draw is answered
+    assert answered >= 206
 
 
 @pytest.mark.parametrize("amplitude", [5.0, 10.0, 20.0])
