@@ -19,6 +19,10 @@ dps-digit refinement (more for roots tinier than 2^-40, a leading
 coefficient below 1/2 or any coefficient above 1).  Only a seed that
 repeats another is sheared, and each correction is judged against its
 root's modulus, so the double roots reach the stop in two exact passes.
+As f0's coefficients are real, a pass refines one member of each
+conjugate pair, whose partner takes the exact conjugate, and each real
+root in real arithmetic; a set that a shear has left without its
+conjugates is refined root by root.
 The Aberth repulsion sums alone are formed in double, from double-double
 differences and, for pairs closer than those resolve, from the exact ints
 (:func:`_repulsion`): the correction takes them times the Newton ratio, so
@@ -170,7 +174,13 @@ def _split(x: int, F: int) -> tuple[float, float]:
 
 
 def _fixed_div(ar: int, ai: int, br: int, bi: int, F: int) -> tuple[int, int]:
-    """(a / b) * 2^F for complex a, b != 0 given as ints at one common scale."""
+    """(a / b) * 2^F for complex a, b != 0 given as ints at one common scale.
+
+    Real a and b take one division, (ar << F) // br, which equals the
+    complex quotient's floor exactly: (ar br 2^F) / br^2 = ar 2^F / br.
+    """
+    if not (ai or bi):
+        return (ar << F) // br, 0
     n2 = br * br + bi * bi
     return ((ar * br + ai * bi) << F) // n2, ((ai * br - ar * bi) << F) // n2
 
@@ -181,8 +191,15 @@ def _horner_fixed(desc: Sequence[int], zr: int, zi: int, F: int) -> tuple[int, i
     z is scaled by 2^F; desc holds the coefficients highest degree first,
     all at one scale 2^C, which is also the scale of the results.  Each
     product is truncated back to scale 2^C, so a step errs by at most one
-    unit 2^-C.  Returns (Re p, Im p, Re p', Im p').
+    unit 2^-C.  Returns (Re p, Im p, Re p', Im p').  A real z takes two
+    products a step instead of eight: the complex loop's imaginary parts
+    stay exactly 0 there, so both give the same ints.
     """
+    if not zi:
+        p, d = desc[0], 0
+        for c in desc[1:]:
+            d, p = ((d * zr) >> F) + p, ((p * zr) >> F) + c
+        return p, 0, d, 0
     pr, pi, dr, di = desc[0], 0, 0, 0
     for c in desc[1:]:
         dr, di, pr, pi = (
@@ -194,8 +211,10 @@ def _horner_fixed(desc: Sequence[int], zr: int, zi: int, F: int) -> tuple[int, i
     return pr, pi, dr, di
 
 
-def _repulsion(roots: Sequence[tuple[int, int]], F: int) -> list[tuple[int, int]]:
-    """sum_j 1/(z_k - z_j) over j != k for each root z_k, as ints at scale 2^F.
+def _repulsion(
+    roots: Sequence[tuple[int, int]], F: int, rows: Sequence[int]
+) -> list[tuple[int, int]]:
+    """sum_j 1/(z_k - z_j) over j != k for each index k in rows, as ints at scale 2^F.
 
     The roots are fixed-point complex ints at scale 2^F, and the sums are
     formed in complex double.  Each root splits once into a double-double
@@ -205,29 +224,58 @@ def _repulsion(roots: Sequence[tuple[int, int]], F: int) -> list[tuple[int, int]
     2^-48 |z_k| of z_k, where the parts' error would show, as for roots that
     double precision does not resolve: those pairs take the difference of
     the exact ints, rounded once.  Each sum is rounded to scale 2^F once.
-    Equal iterates raise NoConvergenceError, and a sum beyond double range
-    FloatOverflowError.
+    Each row sums over every root, and its sum does not depend on which
+    other rows are formed.  Equal iterates raise NoConvergenceError, and a
+    sum beyond double range FloatOverflowError.
     """
     flat: list[float] = []
     for zr, zi in roots:
         (hr, lr), (hi, li) = _split(zr, F), _split(zi, F)
         flat += hr, hi, lr, li
     hi, lo = np.array(flat).view(complex).reshape(-1, 2).T
-    d = (hi[:, None] - hi) + (lo[:, None] - lo)
-    np.fill_diagonal(d, np.inf)  # 1 / inf = 0: no self term
-    near = np.abs(d) <= (2.0**-48 * np.abs(hi))[:, None]
+    rows = np.asarray(rows, dtype=np.intp)
+    d = (hi[rows, None] - hi) + (lo[rows, None] - lo)
+    d[np.arange(len(rows)), rows] = np.inf  # 1 / inf = 0: no self term
+    near = np.abs(d) <= (2.0**-48 * np.abs(hi[rows]))[:, None]
     if near.any():
         one = 1 << F
-        for k, j in zip(*np.nonzero(near)):
+        for i, j in zip(*np.nonzero(near)):
+            k = rows[i]
             er, ei = roots[k][0] - roots[j][0], roots[k][1] - roots[j][1]
             if not (er or ei):
                 raise NoConvergenceError("two Aberth iterates have met")
-            d[k, j] = complex(er / one, ei / one)
+            d[i, j] = complex(er / one, ei / one)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = (1.0 / d).sum(axis=1)
     if not np.isfinite(s).all():
         raise FloatOverflowError("an Aberth repulsion sum leaves double range")
     return [(_fixed(c.real, F), _fixed(c.imag, F)) for c in s.tolist()]
+
+
+def _conjugate_classes(roots: Sequence[tuple[int, int]]) -> tuple[list[int], list[int | None]]:
+    """The roots an Aberth pass evaluates, and the conjugate partner of each.
+
+    A conjugate-closed set, where each (zr, zi) has its exact (zr, -zi)
+    among the roots, gives each real root as its own partner, and the
+    member with Im > 0 of each nonreal pair with the index of the other.
+    Any other set gives every root, with no partner.
+    """
+    where: dict[tuple[int, int], list[int]] = {}
+    for k, z in enumerate(roots):
+        if z[1] <= 0:
+            where.setdefault(z, []).append(k)
+    rows, mates = [], []
+    for k, (zr, zi) in enumerate(roots):
+        if zi >= 0:
+            partner = where.get((zr, -zi))
+            if not partner:
+                break
+            rows.append(k)
+            mates.append(partner.pop(0))  # k itself for a real root
+    else:
+        if not any(where.values()):
+            return rows, mates
+    return list(range(len(roots))), [None] * len(roots)
 
 
 def _aberth(
@@ -252,6 +300,16 @@ def _aberth(
     factor a pass, so a shear below 10^-14 would cost those passes.  The
     roots come back as correctly rounded complex values.
 
+    f0 has real coefficients, so a pass refines one member of each
+    conjugate class (:func:`_conjugate_classes`) when the seeds' fixed-point
+    iterates are conjugate-closed, as :func:`_polish` hands them over: the
+    member with Im > 0 of a pair, whose partner takes the exact conjugate
+    of its new iterate, and each real root in real arithmetic, with the
+    real part of its S, which is real in exact arithmetic for a closed set.
+    The real roots then keep an imaginary part of exactly 0.  A sheared
+    repeat breaks the closure, as the shear moves both parts; such a set is
+    refined root by root.
+
     The correction is N / (1 - N S), with the Newton ratio N = p / p' and
     S = sum_j 1 / (z_k - z_j).  Only S is formed in double, by
     :func:`_repulsion` (Bini, Numer. Algorithms 13, 1996): N is about 1e-16
@@ -259,7 +317,8 @@ def _aberth(
     correction by N^2 S times that error, at second order in N.  p, p', N,
     1 - N S, the correction and the stop test stay in exact ints, so each
     pass still measures how far its roots moved, and double-accurate seeds
-    take the same two passes.
+    take the same two passes.  An iterate where p' vanishes stays put, and
+    counts as converged only where p vanishes too.
     """
     F, C = _fixed_scales(ints, shift, seeds, dps)
     up = C + 1 - shift  # round(c 2^(C - shift)): floor at one more bit, then halve
@@ -269,15 +328,19 @@ def _aberth(
         seen[z] = m = seen.get(z, -1) + 1  # earlier seeds equal to z
         shear = _fixed(m * 1e-14 * max(1.0, _mag(z)), F)
         roots.append((_fixed(z.real, F) + shear, _fixed(z.imag, F) + shear))
+    rows, mates = _conjugate_classes(roots)
     one = 1 << F
     tol_scale = 10 ** (2 * (dps - 8))  # |corr| < 10^-(dps-8) |z|, squared
     for _ in range(maxit):
         converged = True
-        new = []
-        for (zkr, zki), (sr, si) in zip(roots, _repulsion(roots, F)):
+        new = list(roots)
+        for k, mate, (sr, si) in zip(rows, mates, _repulsion(roots, F, rows)):
+            zkr, zki = roots[k]
+            if mate == k:  # a real root of a closed set, whose S is real
+                si = 0
             pr, pi, dr, di = _horner_fixed(desc, zkr, zki, F)
             if dr == 0 and di == 0:
-                new.append((zkr, zki))
+                converged &= pr == 0 and pi == 0
                 continue
             rr, ri = _fixed_div(pr, pi, dr, di, F)
             # denom = 1 - ratio * ssum
@@ -286,7 +349,9 @@ def _aberth(
             cr, ci = (rr, ri) if er == 0 and ei == 0 else _fixed_div(rr, ri, er, ei, F)
             zr, zi = zkr - cr, zki - ci
             converged &= (cr * cr + ci * ci) * tol_scale < zr * zr + zi * zi
-            new.append((zr, zi))
+            new[k] = zr, zi
+            if mate is not None:
+                new[mate] = zr, -zi
         roots = new
         if converged:
             break

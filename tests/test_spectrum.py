@@ -346,14 +346,70 @@ def test_aberth_raises_at_its_pass_cap():
     )
 
 
-def test_aberth_parts_a_repeated_seed():
+def test_aberth_parts_a_repeated_seed(count_calls):
     # a seed that repeats another is sheared off it, and the iterates still
-    # reach every root, the one no seed was near included
+    # reach every root, the one no seed was near included; the shear moves
+    # both parts, so the set is no longer conjugate-closed and each pass
+    # evaluates every root
     p = jost_coefficients(validate_potential([1.3, -0.4, 2.2]))
     roots = sorted((z for z, m in find_zeros(p, CFG) for _ in range(m)), key=lambda z: z.imag)
+    passes, evaluations = count_calls(_repulsion), count_calls(_horner_fixed)
     for seeds in ([roots[0], *roots[:-1]], [*roots[1:], roots[1]]):
+        passes.clear(), evaluations.clear()
         refined = _aberth(p.ints, p.shift, seeds)
         assert sorted(refined, key=lambda z: z.imag) == pytest.approx(roots, rel=1e-15)
+        assert len(evaluations) == len(passes) * len(seeds) > 0
+
+
+def test_aberth_refines_one_member_of_each_conjugate_pair(count_calls):
+    # from closed seeds, each nonreal root comes back with its bit-exact
+    # conjugate and each real one with an imaginary part of exactly +0.0,
+    # before any tau_real snap; a pass evaluates each real root and one
+    # member of each pair
+    rng = np.random.default_rng(7)
+    passes, evaluations = count_calls(_repulsion), count_calls(_horner_fixed)
+    for b in (1, 2, 4, 9, 16):
+        p = jost_coefficients(validate_potential(rng.uniform(-3, 3, b).tolist()))
+        seeds = [z for z, m in find_zeros(p, CFG) for _ in range(m)]
+        reals = sum(not z.imag for z in seeds)
+        assert _pairs_closed(seeds)
+        passes.clear(), evaluations.clear()
+        refined = _aberth(p.ints, p.shift, seeds)
+        assert len(evaluations) == len(passes) * (reals + (len(seeds) - reals) // 2)
+        assert _pairs_closed(refined)
+        for seed, z in zip(seeds, refined):
+            if not seed.imag:
+                assert math.copysign(1.0, z.imag) == 1.0 and z.imag == 0.0
+        assert refined == pytest.approx(seeds, rel=1e-14)
+
+
+def _pairs_closed(roots):
+    """Whether the nonreal roots come in bit-exact conjugate pairs."""
+    bits = lambda z: (z.real.hex(), z.imag.hex())
+    nonreal = [z for z in roots if z.imag]
+    return sorted(map(bits, nonreal)) == sorted(bits(z.conjugate()) for z in nonreal)
+
+
+def test_aberth_raises_where_only_the_slope_vanishes(monkeypatch):
+    # an iterate where p' = 0 cannot move; it counts as converged only where
+    # p = 0 as well, so a non-root there runs into the pass cap
+    p = jost_coefficients(validate_potential([1.3, -0.4, 2.2]))
+    seeds = [z for z, m in find_zeros(p, CFG) for _ in range(m)]
+    for value, converges in ((1, False), (0, True)):
+        stuck = None  # the first root evaluated, which never moves
+
+        def horner(desc, zr, zi, F):
+            nonlocal stuck
+            stuck = stuck or (zr, zi)
+            return (value, 0, 0, 0) if (zr, zi) == stuck else _horner_fixed(desc, zr, zi, F)
+
+        monkeypatch.setattr("latticejost.spectrum._horner_fixed", horner)
+        if converges:
+            refined = _aberth(p.ints, p.shift, seeds)
+            assert refined[0] == seeds[0]
+        else:
+            with pytest.raises(NoConvergenceError, match="120 passes"):
+                _aberth(p.ints, p.shift, seeds)
 
 
 @pytest.mark.parametrize("b", [4, 12, 20])
@@ -362,12 +418,12 @@ def test_aberth_takes_two_passes_from_double_roots(b, count_calls):
     # second confirms it; a pair of roots much closer than the rest can need
     # a third (1 of 210 draws tried)
     rng = np.random.default_rng(25)
-    calls = count_calls(_horner_fixed)
+    passes = count_calls(_repulsion)
     for _ in range(3):
         p = jost_coefficients(validate_potential(rng.uniform(-3, 3, b).tolist()))
-        calls.clear()
+        passes.clear()
         find_zeros(p, NumericConfig.extended())
-        assert len(calls) == 2 * (2 * b - 1)
+        assert len(passes) == 2
 
 
 def _repulsion_panel(rng, F, scale, close):
@@ -410,7 +466,7 @@ def test_repulsion_matches_the_exact_sum(scale, F, close):
     for _ in range(60):
         roots = _repulsion_panel(rng, F, scale, close)
         n = len(roots)
-        for (gr, gi), (ar, ai) in zip(_repulsion(roots, F), roots):
+        for (gr, gi), (ar, ai) in zip(_repulsion(roots, F, range(n)), roots):
             # in units of 2^-F: sr + i si = 2^F S_k and bound = 2^F sum |1 / d|
             sr = si = bound = Fraction(0)
             for br, bi in roots:
@@ -427,21 +483,35 @@ def test_repulsion_matches_the_exact_sum(scale, F, close):
 def test_repulsion_raises_on_met_or_unbounded_iterates():
     roots = [(3 << 200, 1 << 200), (1 << 207, 0), (3 << 200, 1 << 200)]
     with pytest.raises(NoConvergenceError, match="met"):
-        _repulsion(roots, 207)
+        _repulsion(roots, 207, range(3))
     # one unit of 2^-1207 apart: 1 / (z_1 - z_2) is far beyond double range
     with pytest.raises(FloatOverflowError, match="double range"):
-        _repulsion([(1 << 207, 0), ((1 << 207) + 1, 0)], 1207)
+        _repulsion([(1 << 207, 0), ((1 << 207) + 1, 0)], 1207, range(2))
+
+
+def test_repulsion_rows_equal_those_of_the_full_sums():
+    # a subset of rows, in any order, equals those rows of the full result bit for bit
+    rng = random.Random(17)
+    for scale, F in ((1.0, 207), (1e-30, 347)):
+        for _ in range(40):
+            roots = _repulsion_panel(rng, F, scale, True)
+            full = _repulsion(roots, F, range(len(roots)))
+            rows = rng.sample(range(len(roots)), rng.randint(1, len(roots)))
+            assert _repulsion(roots, F, rows) == [full[k] for k in rows]
 
 
 def test_extended_refinement_passes_are_pinned(count_calls):
-    # 1324 exact Horner passes with the repulsion sums in exact ints; a sum
-    # in double whose error ever costs an Aberth pass fails here
+    # 60 Aberth passes, as with the repulsion sums in exact ints: a sum in
+    # double whose error ever costs a pass fails here.  Refining one member
+    # of each conjugate pair takes 982 Horner evaluations where every root
+    # took 1324
     rng = np.random.default_rng(31)
-    calls = count_calls(_horner_fixed)
+    passes, evaluations = count_calls(_repulsion), count_calls(_horner_fixed)
     for _ in range(30):
         b = int(rng.integers(4, 21))
         analyze(validate_potential(rng.uniform(-3, 3, b).tolist()), NumericConfig.extended())
-    assert len(calls) == 1324
+    assert len(passes) == 60
+    assert len(evaluations) == 982
 
 
 # extreme inputs, the b=4 input on which the eigensolver loses a bound state
